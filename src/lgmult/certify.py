@@ -24,17 +24,13 @@ from .graphs import (
     Graph,
     GraphError,
     bfs_distances,
+    biconnected_blocks,
     delete_edge,
     induced_subgraph,
+    multiplicity_bound,
     summarize,
 )
-from .linegraph import (
-    BlockStructure,
-    EmptyGraph,
-    block_block_distance,
-    line_graph,
-    _biconnected_blocks,
-)
+from .linegraph import BlockStructure, EmptyGraph, block_block_distance, line_graph
 from .spectra import Eigenvalue, candidate_pairs, multiplicity
 
 
@@ -82,7 +78,6 @@ class PathCase:
     lam: Eigenvalue
     i: int
     m: int
-    also: tuple[str, ...] = ()
     case_tag: ClassVar[str] = "PathCase"
 
 
@@ -95,7 +90,6 @@ class TreeCase:
     k: int
     q: int
     pendant_count: int
-    also: tuple[str, ...] = ()
     case_tag: ClassVar[str] = "TreeCase"
 
 
@@ -109,7 +103,6 @@ class AttachedCycles:
     cycle_orders: tuple[int, ...]
     attachment_pendants: tuple[int, ...]
     c: int
-    also: tuple[str, ...] = ()
     case_tag: ClassVar[str] = "AttachedCycles"
 
 
@@ -119,7 +112,6 @@ class TwoCyclesEdge:
 
     lam: Eigenvalue
     orders: tuple[int, int]
-    also: tuple[str, ...] = ()
     case_tag: ClassVar[str] = "TwoCyclesEdge"
 
 
@@ -134,7 +126,6 @@ class ManyCycles:
     c: int
     q: int
     k: int
-    also: tuple[str, ...] = ()
     case_tag: ClassVar[str] = "ManyCycles"
 
 
@@ -189,7 +180,6 @@ def certificate_to_json(cert: OptimalityCertificate) -> dict:
             "k": cert.k,
         }
     out["parameters"] = params
-    out["also"] = list(cert.also)
     return out
 
 
@@ -300,7 +290,7 @@ class CycleAttachment:
 
 
 @dataclass(frozen=True)
-class PendantCycleDecomposition:
+class CycleDecomposition:
     """G written as tree plus pendant cycles: ``tree`` is the remainder with
     vertices relabeled densely, tree_map sends original labels into it, and
     each attachment records one cycle with its joining edge (original
@@ -320,7 +310,7 @@ class DecompositionFailure:
 @lru_cache(maxsize=None)
 def pendant_cycle_decompose(
     g: Graph,
-) -> PendantCycleDecomposition | DecompositionFailure:
+) -> CycleDecomposition | DecompositionFailure:
     """Split a connected non-cycle graph with c >= 1 into a remainder tree
     plus pendant cycles joined to distinct tree pendants.
 
@@ -338,7 +328,7 @@ def pendant_cycle_decompose(
         raise GraphError("decomposition needs at least one cycle")
     if s.is_cycle:
         raise IsACycle("a bare cycle does not decompose")
-    blocks = _biconnected_blocks(g)
+    blocks = biconnected_blocks(g)
     cyclic = [b for b in blocks if len(b) >= 3]
     edge_count_in = {b: 0 for b in cyclic}
     bset = {b: set(b) for b in cyclic}
@@ -389,7 +379,7 @@ def pendant_cycle_decompose(
         )
         for (b, u, y) in attachments
     )
-    return PendantCycleDecomposition(tree=tree, tree_map=relabel, attachments=att)
+    return CycleDecomposition(tree=tree, tree_map=relabel, attachments=att)
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +391,8 @@ def optimal_certificate(
 ) -> OptimalityCertificate:
     """Decide whether (g, lambda) matches one of the five optimal shapes.
 
-    Precedence when shapes could be confused: tree cases, then the two-cycles
-    -plus-edge case, then attached cycles with c <= 2, then c >= 3.  The
-    `also` field would list further matching case tags; the case conditions
-    (c = 0, remainder emptiness, the c <= 2 / c >= 3 split) are mutually
-    exclusive, so it stays empty and exists for interface stability.
+    The case conditions (c = 0, remainder emptiness, the c <= 2 / c >= 3
+    split) are mutually exclusive, so at most one shape matches.
     """
     if g.vertex_count == 0 or g.edge_count == 0:
         raise EmptyGraph("optimality needs a graph with at least one edge")
@@ -496,11 +483,9 @@ def edge_reduction_probe(g: Graph, lam: Eigenvalue) -> ProbeReport:
     reduced = delete_edge(g, edge)
     m_g = multiplicity(line_graph(g).line, lam)
     m_r = multiplicity(line_graph(reduced).line, lam)
-    rs = summarize(reduced)
-    bound_r = 2 * rs.cyclomatic + rs.pendant_count - 1
     return ProbeReport(
         edge=edge,
         mult_drop_ok=(m_g == m_r + 1),
-        sub_optimal_ok=(m_r == bound_r),
-        pendant_increment_ok=(rs.pendant_count == s.pendant_count + 1),
+        sub_optimal_ok=(m_r == multiplicity_bound(reduced)),
+        pendant_increment_ok=(summarize(reduced).pendant_count == s.pendant_count + 1),
     )

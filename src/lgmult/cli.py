@@ -23,7 +23,7 @@ from .graphio import (
     read_graphs_graph6,
     to_graph6,
 )
-from .graphs import Graph, GraphError, summarize
+from .graphs import Graph, GraphError, multiplicity_bound
 from .intpoly import poly_to_json
 from .linegraph import line_graph
 from .spectra import Eigenvalue, NonCanonical, multiplicity
@@ -98,27 +98,19 @@ def cmd_linegraph(args: argparse.Namespace) -> int:
         lm = line_graph(g)
     except GraphError as exc:
         raise UsageError(str(exc)) from exc
-    _emit(
-        {
-            "base": _graph_json(lm.base),
-            "line": _graph_json(lm.line),
-            "edge_to_vertex": list(lm.edge_to_vertex),
-            "vertex_to_edge": list(lm.vertex_to_edge),
-        }
-    )
+    _emit({"base": _graph_json(lm.base), "line": _graph_json(lm.line)})
     return 0
 
 
 def cmd_mult(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     lam = _parse_lambda(args.lam)
-    s = summarize(g)
     _emit(
         {
             "graph6": to_graph6(g),
             "lambda": {"a": lam.a, "b": lam.b},
             "multiplicity": multiplicity(g, lam),
-            "bound": 2 * s.cyclomatic + s.pendant_count - 1,
+            "bound": multiplicity_bound(g),
             "minimal_polynomial": poly_to_json(lam.minimal_polynomial),
         }
     )
@@ -132,13 +124,13 @@ def cmd_check(args: argparse.Namespace) -> int:
         cert = optimal_certificate(g, lam)
     except GraphError as exc:
         raise UsageError(str(exc)) from exc
-    s = summarize(g)
-    payload = {
-        "graph6": to_graph6(g),
-        "bound": 2 * s.cyclomatic + s.pendant_count - 1,
-        "certificate": certificate_to_json(cert),
-    }
-    _emit(payload)
+    _emit(
+        {
+            "graph6": to_graph6(g),
+            "bound": multiplicity_bound(g),
+            "certificate": certificate_to_json(cert),
+        }
+    )
     return 0 if is_optimal(cert) else 1
 
 

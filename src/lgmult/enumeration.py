@@ -159,7 +159,8 @@ def canonical_key(g: Graph) -> bytes:
             search(_refine(adj, tuple(ranks[s] for s in bumped)))
 
     search(_refine(adj, (0,) * n))
-    assert best is not None
+    if best is None:
+        raise AssertionError("canonical search reached no leaf")
     return best
 
 

@@ -1,10 +1,12 @@
 """Reading and writing graphs: graph6 strings, edge-list text, adjacency JSON.
 
-graph6 is the compact format used by the usual graph-enumeration tools: one
-byte n+63 for the order (supported here up to 62), then the upper triangle of
-the adjacency matrix in column-major order, packed into 6-bit groups, each
-group stored as its value plus 63.  An optional ">>graph6<<" prefix is
-accepted on input and never produced on output.
+graph6 is the compact format used by the usual graph-enumeration tools: the
+order n, then the upper triangle of the adjacency matrix in column-major
+order, packed into 6-bit groups, each group stored as its value plus 63.
+The order is one byte n+63 up to n = 62, and byte 126 followed by n in three
+6-bit groups, big-endian, up to n = 258047; larger orders are not supported.
+An optional ">>graph6<<" prefix is accepted on input and never produced on
+output.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ from typing import Iterable
 from .graphs import Graph, GraphError, build_graph
 
 _HEADER = ">>graph6<<"
+# largest order of the 4-byte form: from 63 * 4096 on, the first 6-bit group
+# would read as byte 126 again, which marks the 8-byte form
+_MAX_ORDER = 63 * 4096 - 1
 
 
 class FormatError(GraphError):
@@ -22,16 +27,19 @@ class FormatError(GraphError):
 
 
 def to_graph6(g: Graph) -> str:
-    if g.vertex_count > 62:
-        raise FormatError("graph6 writer here only covers orders up to 62")
     n = g.vertex_count
+    if n > _MAX_ORDER:
+        raise FormatError(f"graph6 here covers orders up to {_MAX_ORDER}, got {n}")
     bits: list[int] = []
     for col in range(1, n):
         for row in range(col):
             bits.append(1 if g.has_edge(row, col) else 0)
     while len(bits) % 6:
         bits.append(0)
-    chars = [chr(n + 63)]
+    if n <= 62:
+        chars = [chr(n + 63)]
+    else:
+        chars = ["~"] + [chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0)]
     for i in range(0, len(bits), 6):
         val = 0
         for b in bits[i : i + 6]:
@@ -46,10 +54,20 @@ def from_graph6(text: str) -> Graph:
         s = s[len(_HEADER) :]
     if not s:
         raise FormatError("empty graph6 string")
-    n = ord(s[0]) - 63
-    if not (0 <= n <= 62):
-        raise FormatError(f"unsupported graph6 order byte {s[0]!r}")
-    body = s[1:]
+    if s[0] != "~":
+        n, body = ord(s[0]) - 63, s[1:]
+        if not (0 <= n <= 62):
+            raise FormatError(f"unsupported graph6 order byte {s[0]!r}")
+    else:
+        if s[1:2] == "~":
+            raise FormatError(f"graph6 orders above {_MAX_ORDER} are not supported")
+        if len(s) < 4:
+            raise FormatError("graph6 order field is truncated")
+        n, body = 0, s[4:]
+        for ch in s[1:4]:
+            if not (0 <= ord(ch) - 63 < 64):
+                raise FormatError(f"byte {ch!r} outside graph6 range")
+            n = (n << 6) | (ord(ch) - 63)
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise FormatError(f"graph6 body for n={n} needs {need} bytes, got {len(body)}")

@@ -114,13 +114,6 @@ class PendantPath(NamedTuple):
     attachment: int
 
 
-class PendantCycle(NamedTuple):
-    """Cycle whose only major vertex has degree exactly 3; sequence starts there."""
-
-    vertices: tuple[int, ...]
-    major: int
-
-
 def components(g: Graph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by smallest member."""
     seen = [False] * g.vertex_count
@@ -176,27 +169,31 @@ def distance(g: Graph, u: int, v: int) -> int:
     return d
 
 
-def _bridges_and_cuts(g: Graph) -> tuple[list[tuple[int, int]], list[int]]:
-    """Iterative low-link traversal; works per component."""
+def biconnected_blocks(g: Graph) -> list[tuple[int, ...]]:
+    """Blocks (maximal biconnected pieces) as sorted vertex tuples, in sorted
+    order; an isolated vertex is a block of its own.  One iterative
+    low-link traversal per component."""
     n = g.vertex_count
     disc = [-1] * n
     low = [0] * n
     parent_edge = [-1] * n
-    bridges: list[tuple[int, int]] = []
-    cuts: set[int] = set()
     # incidence: edge ids per vertex, to skip only the tree edge we came by
     inc: list[list[int]] = [[] for _ in range(n)]
     for eid, (u, v) in enumerate(g.edges):
         inc[u].append(eid)
         inc[v].append(eid)
+    blocks: list[tuple[int, ...]] = []
+    estack: list[tuple[int, int]] = []
     timer = 0
     for root in range(n):
         if disc[root] != -1:
             continue
-        root_children = 0
-        stack: list[tuple[int, int]] = [(root, 0)]
         disc[root] = low[root] = timer
         timer += 1
+        if not inc[root]:
+            blocks.append((root,))
+            continue
+        stack: list[tuple[int, int]] = [(root, 0)]
         while stack:
             v, i = stack[-1]
             if i < len(inc[v]):
@@ -207,13 +204,13 @@ def _bridges_and_cuts(g: Graph) -> tuple[list[tuple[int, int]], list[int]]:
                 a, b = g.edges[eid]
                 w = b if a == v else a
                 if disc[w] == -1:
+                    estack.append((v, w))
+                    parent_edge[w] = eid
                     disc[w] = low[w] = timer
                     timer += 1
-                    parent_edge[w] = eid
-                    if v == root:
-                        root_children += 1
                     stack.append((w, 0))
-                else:
+                elif disc[w] < disc[v]:
+                    estack.append((v, w))
                     if disc[w] < low[v]:
                         low[v] = disc[w]
             else:
@@ -222,20 +219,23 @@ def _bridges_and_cuts(g: Graph) -> tuple[list[tuple[int, int]], list[int]]:
                     p = stack[-1][0]
                     if low[v] < low[p]:
                         low[p] = low[v]
-                    if low[v] > disc[p]:
-                        e = g.edges[parent_edge[v]]
-                        bridges.append(e)
-                    if p != root and low[v] >= disc[p]:
-                        cuts.add(p)
-        if root_children >= 2:
-            cuts.add(root)
-    bridges.sort()
-    return bridges, sorted(cuts)
+                    if low[v] >= disc[p]:
+                        comp: set[int] = set()
+                        while estack:
+                            x, y = estack.pop()
+                            comp.add(x)
+                            comp.add(y)
+                            if (x, y) == (p, v):
+                                break
+                        blocks.append(tuple(sorted(comp)))
+    blocks.sort()
+    return blocks
 
 
 @lru_cache(maxsize=None)
 def summarize(g: Graph) -> StructureSummary:
-    """Connectivity, cyclomatic number, pendant/major vertices, bridges, cuts.
+    """Connectivity, cyclomatic number, pendant/major vertices, and the
+    bridges and cut vertices read off the blocks.
 
     The cyclomatic number is |E| - |V| + (number of components), which is the
     usual c(G) whenever the graph is connected.  Results are memoized; Graph
@@ -247,8 +247,13 @@ def summarize(g: Graph) -> StructureSummary:
     c = g.edge_count - g.vertex_count + len(comps)
     pend = tuple(v for v, d in enumerate(degs) if d == 1)
     major = tuple(v for v, d in enumerate(degs) if d >= 3)
-    bridges, cuts = _bridges_and_cuts(g)
     n = g.vertex_count
+    # a bridge is a two-vertex block; a cut vertex lies in two or more blocks
+    blocks = biconnected_blocks(g)
+    in_blocks = [0] * n
+    for b in blocks:
+        for v in b:
+            in_blocks[v] += 1
     is_cycle = connected and n >= 3 and all(d == 2 for d in degs)
     is_path = connected and (n == 1 or (len(pend) == 2 and not major))
     is_tree = connected and c == 0
@@ -258,12 +263,19 @@ def summarize(g: Graph) -> StructureSummary:
         pendant_count=len(pend),
         pendant_vertices=pend,
         major_vertices=major,
-        bridges=tuple(bridges),
-        cut_vertices=tuple(cuts),
+        bridges=tuple(b for b in blocks if len(b) == 2),
+        cut_vertices=tuple(v for v in range(n) if in_blocks[v] >= 2),
         is_cycle=is_cycle,
         is_path=is_path,
         is_tree=is_tree,
     )
+
+
+def multiplicity_bound(g: Graph) -> int:
+    """2c(G) + p(G) - 1, the bound on every eigenvalue multiplicity of L(G)
+    for a connected non-cycle G."""
+    s = summarize(g)
+    return 2 * s.cyclomatic + s.pendant_count - 1
 
 
 def pendant_paths(g: Graph) -> list[PendantPath]:
@@ -317,47 +329,3 @@ def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
     if (u, v) not in g.edges:
         raise InvalidEdge(f"edge {e} not in graph")
     return build_graph(g.vertex_count, [f for f in g.edges if f != (u, v)])
-
-
-def pendant_cycles(g: Graph) -> list[PendantCycle]:
-    """Cycles with exactly one major vertex, that vertex of degree exactly 3.
-
-    The sequence starts at the major vertex and proceeds toward its
-    smaller-id cycle neighbor.  Found by walking the degree-2 chain from each
-    candidate major vertex; re-arriving at the start closes a pendant cycle.
-    """
-    if not is_connected(g):
-        raise Disconnected("pendant_cycles needs a connected graph")
-    found: dict[frozenset[int], PendantCycle] = {}
-    for u in range(g.vertex_count):
-        if g.degree(u) != 3:
-            continue
-        for first in g.adj[u]:
-            if g.degree(first) != 2:
-                continue
-            seq = [u, first]
-            prev, cur = u, first
-            while True:
-                a, b = g.adj[cur]
-                prev, cur = cur, (b if a == prev else a)
-                if cur == u:
-                    key = frozenset(seq)
-                    if key not in found:
-                        found[key] = PendantCycle(tuple(seq), u)
-                    break
-                if g.degree(cur) != 2:
-                    break
-                seq.append(cur)
-    cycles = sorted(found.values(), key=lambda c: min(c.vertices))
-    # the walk above records the traversal from each side; keep the one
-    # that starts toward the smaller neighbor
-    canon = []
-    for cyc in cycles:
-        u = cyc.major
-        in_cycle = set(cyc.vertices)
-        nbrs = sorted(w for w in g.adj[u] if w in in_cycle and g.degree(w) == 2)
-        if len(nbrs) == 2 and cyc.vertices[1] != nbrs[0]:
-            canon.append(PendantCycle((u,) + tuple(reversed(cyc.vertices[1:])), u))
-        else:
-            canon.append(cyc)
-    return canon

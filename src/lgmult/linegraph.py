@@ -17,6 +17,7 @@ from .graphs import (
     Graph,
     GraphError,
     bfs_distances,
+    biconnected_blocks,
     build_graph,
     is_connected,
     Disconnected,
@@ -33,19 +34,10 @@ class NoSecondBlock(GraphError):
 
 @dataclass(frozen=True)
 class LineGraphMap:
-    """Line graph together with the edge <-> vertex correspondence.
-
-    Both maps are index tuples: edge_to_vertex[edge id] = line vertex id and
-    vertex_to_edge[line vertex id] = edge id, mutually inverse.
-    """
+    """Line graph of ``base``; line vertex i is base edge i."""
 
     base: Graph
     line: Graph
-    edge_to_vertex: tuple[int, ...]
-    vertex_to_edge: tuple[int, ...]
-
-    def edge_of_vertex(self, line_vertex: int) -> tuple[int, int]:
-        return self.base.edges[self.vertex_to_edge[line_vertex]]
 
 
 @lru_cache(maxsize=None)
@@ -64,9 +56,7 @@ def line_graph(g: Graph) -> LineGraphMap:
             for j in range(i + 1, len(ids)):
                 a, b = ids[i], ids[j]
                 line_edges.add((a, b) if a < b else (b, a))
-    line = build_graph(m, sorted(line_edges))
-    idx = tuple(range(m))
-    return LineGraphMap(base=g, line=line, edge_to_vertex=idx, vertex_to_edge=idx)
+    return LineGraphMap(base=g, line=build_graph(m, sorted(line_edges)))
 
 
 @dataclass(frozen=True)
@@ -77,9 +67,8 @@ class BlockStructure:
     member.  A vertex lying in two or more blocks is internal, otherwise
     external.  Major blocks have >= 3 vertices; a major block of order s
     counts as external when at least s-1 external vertices have it among
-    their nearest major blocks, or when it is the only major block.
-    nearest_major[v] records every nearest major block index for the
-    external vertex v (ties all count).
+    their nearest major blocks (ties all count), or when it is the only
+    major block.
     """
 
     graph: Graph
@@ -88,7 +77,6 @@ class BlockStructure:
     external_vertices: tuple[int, ...]
     internal_vertices: tuple[int, ...]
     external_blocks: tuple[tuple[int, ...], ...]
-    nearest_major: dict[int, tuple[tuple[int, ...], ...]]
 
     def to_json_dict(self) -> dict:
         return {
@@ -100,72 +88,11 @@ class BlockStructure:
         }
 
 
-def _biconnected_blocks(g: Graph) -> list[tuple[int, ...]]:
-    n = g.vertex_count
-    disc = [-1] * n
-    low = [0] * n
-    parent_edge = [-1] * n
-    inc: list[list[int]] = [[] for _ in range(n)]
-    for eid, (u, v) in enumerate(g.edges):
-        inc[u].append(eid)
-        inc[v].append(eid)
-    blocks: list[tuple[int, ...]] = []
-    estack: list[tuple[int, int]] = []
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        if not g.adj[root]:
-            blocks.append((root,))
-            disc[root] = timer
-            timer += 1
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack: list[tuple[int, int]] = [(root, 0)]
-        while stack:
-            v, i = stack[-1]
-            if i < len(inc[v]):
-                stack[-1] = (v, i + 1)
-                eid = inc[v][i]
-                if eid == parent_edge[v]:
-                    continue
-                a, b = g.edges[eid]
-                w = b if a == v else a
-                if disc[w] == -1:
-                    estack.append((v, w))
-                    parent_edge[w] = eid
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, 0))
-                elif disc[w] < disc[v]:
-                    estack.append((v, w))
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            else:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                    if low[v] >= disc[p]:
-                        comp: set[int] = set()
-                        while estack:
-                            x, y = estack.pop()
-                            comp.add(x)
-                            comp.add(y)
-                            if (x, y) == (p, v):
-                                break
-                        blocks.append(tuple(sorted(comp)))
-    blocks.sort()
-    return blocks
-
-
 def block_structure(lt: Graph) -> BlockStructure:
     """Blocks of a connected graph plus the major/external classification."""
     if not is_connected(lt):
         raise Disconnected("block structure is defined here for connected graphs")
-    blocks = tuple(_biconnected_blocks(lt))
+    blocks = tuple(biconnected_blocks(lt))
     containing: list[int] = [0] * lt.vertex_count
     for b in blocks:
         for v in b:
@@ -173,16 +100,16 @@ def block_structure(lt: Graph) -> BlockStructure:
     external = tuple(v for v in range(lt.vertex_count) if containing[v] <= 1)
     internal = tuple(v for v in range(lt.vertex_count) if containing[v] > 1)
     major = tuple(b for b in blocks if len(b) >= 3)
-    nearest: dict[int, tuple[tuple[int, ...], ...]] = {}
-    if major:
+    if len(major) <= 1:
+        ext_blocks = major
+    else:
+        # every nearest major block of each external vertex
+        nearest: dict[int, tuple[tuple[int, ...], ...]] = {}
         for v in external:
             dist = bfs_distances(lt, v)
             per_block = [min(dist[u] for u in b) for b in major]
             best = min(per_block)
             nearest[v] = tuple(b for b, d in zip(major, per_block) if d == best)
-    if len(major) == 1:
-        ext_blocks = major
-    else:
         ext_blocks = tuple(
             b
             for b in major
@@ -195,7 +122,6 @@ def block_structure(lt: Graph) -> BlockStructure:
         external_vertices=external,
         internal_vertices=internal,
         external_blocks=ext_blocks,
-        nearest_major=nearest,
     )
 
 

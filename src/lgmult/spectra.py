@@ -34,20 +34,21 @@ class NonCanonical(ValueError):
     """Eigenvalue parameters outside the canonical range (coprime, 1 <= a < b)."""
 
 
-@lru_cache(maxsize=None)
-def _phi(n: int) -> int:
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+# Euler's phi of 0..len-1 by sieve, regrown (at least doubled) on demand
+_PHI: list[int] = [0, 1]
+
+
+def _totients(limit: int) -> list[int]:
+    """Euler's phi for every integer up to at least limit."""
+    if len(_PHI) <= limit:
+        size = max(limit + 1, 2 * len(_PHI))
+        phi = list(range(size))
+        for p in range(2, size):
+            if phi[p] == p:  # p prime
+                for k in range(p, size, p):
+                    phi[k] -= phi[k] // p
+        _PHI[:] = phi
+    return _PHI
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ class Eigenvalue:
 
     @property
     def degree(self) -> int:
-        return _phi(self.n) // 2
+        return _totients(self.n)[self.n] // 2
 
     @property
     def numeric(self) -> float:
@@ -96,20 +97,17 @@ class Eigenvalue:
 
 
 @lru_cache(maxsize=None)
-def trig_min_poly(a: int, b: int) -> IntPoly:
-    """Minimal polynomial of 2*cos(a*pi/b) over Q, monic in Z[y]."""
-    lam = Eigenvalue(a, b)
-    return compress_palindrome(cyclotomic(lam.n))
+def _order_min_poly(n: int) -> IntPoly:
+    """Minimal polynomial of w + 1/w over Q for a primitive n-th root of
+    unity w, monic in Z[y]; built once per order."""
+    return compress_palindrome(cyclotomic(n))
 
 
 @lru_cache(maxsize=None)
-def _phi_table(limit: int) -> tuple[int, ...]:
-    phi = list(range(limit + 1))
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # p prime
-            for k in range(p, limit + 1, p):
-                phi[k] -= phi[k] // p
-    return tuple(phi)
+def trig_min_poly(a: int, b: int) -> IntPoly:
+    """Minimal polynomial of 2*cos(a*pi/b) over Q, monic in Z[y]; it depends
+    only on the root order n, so (a, b) pairs of one order share it."""
+    return _order_min_poly(Eigenvalue(a, b).n)
 
 
 @lru_cache(maxsize=None)
@@ -125,7 +123,7 @@ def candidate_pairs(max_degree: int) -> tuple[Eigenvalue, ...]:
     if max_degree < 1:
         return ()
     limit = 8 * max_degree * max_degree + 2
-    phi = _phi_table(limit)
+    phi = _totients(limit)
     out: list[Eigenvalue] = []
     for n in range(3, limit + 1):
         if phi[n] // 2 > max_degree:
@@ -422,8 +420,8 @@ def _specialization_mod_p(n: int) -> tuple[int, int]:
         if w != 1 and all(pow(w, n // q, p) != 1 for q in qs):
             break
     r = (w + pow(w, p - 2, p)) % p
-    psi = compress_palindrome(cyclotomic(n))
-    assert psi.eval_mod(r, p) == 0
+    if _order_min_poly(n).eval_mod(r, p):
+        raise AssertionError(f"specialization {r} mod {p} is not a root of Psi_{n}")
     return p, r
 
 

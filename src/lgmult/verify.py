@@ -37,6 +37,7 @@ from .graphs import (
     delete_edge,
     delete_pendant_path,
     induced_subgraph,
+    multiplicity_bound,
     pendant_paths,
     summarize,
 )
@@ -208,11 +209,6 @@ def _verdict_string(cert: Any) -> str:
     return cert.case_tag
 
 
-def _bound(g: Graph) -> int:
-    s = summarize(g)
-    return 2 * s.cyclomatic + s.pendant_count - 1
-
-
 def check_graph(
     g: Graph, rules: RecognizerRules = DEFAULT_RULES
 ) -> VerificationReport:
@@ -225,7 +221,7 @@ def check_graph(
     report.graphs_checked = 1
     g6 = to_graph6(g)
     line = line_graph(g).line
-    bound = _bound(g)
+    bound = multiplicity_bound(g)
     line_poly = char_poly(line)
 
     for cls in eig_classes(line):
@@ -457,7 +453,7 @@ def _check_probe_equivalence(
     s = summarize(g)
     if not s.connected or s.is_cycle or s.cyclomatic == 0:
         return
-    bound = _bound(g)
+    bound = multiplicity_bound(g)
     f_line = char_poly(line_graph(g).line)
     g6 = to_graph6(g)
     for lam in lams:

@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given
 
 from conftest import cycle, cycle_plus_pendant, path, spider, star
 from lgmult.certify import (
     AttachedCycles,
+    CycleDecomposition,
     DecompositionFailure,
     IsACycle,
     ManyCycles,
@@ -11,7 +13,6 @@ from lgmult.certify import (
     NotATree,
     NotOptimal,
     PathCase,
-    PendantCycleDecomposition,
     TreeCase,
     TwoCyclesEdge,
     certificate_to_json,
@@ -29,6 +30,7 @@ from lgmult.families import make_B, make_theta, two_cycles_edge
 from lgmult.graphs import Disconnected, build_graph, summarize
 from lgmult.linegraph import block_structure, line_graph
 from lgmult.spectra import Eigenvalue, candidate_pairs, multiplicity
+from test_graphs import connected_graphs
 
 
 def test_lambda_candidates_sized_by_edge_count():
@@ -86,7 +88,7 @@ def test_decompose_cycle_with_pendant_path():
     # C_4 with a two-edge tail: remainder is P_2
     g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5)])
     dec = pendant_cycle_decompose(g)
-    assert isinstance(dec, PendantCycleDecomposition)
+    assert isinstance(dec, CycleDecomposition)
     assert summarize(dec.tree).is_path and dec.tree.vertex_count == 2
     (att,) = dec.attachments
     assert att.order == 4 and att.tree_pendant == 4 and att.joining_edge == (0, 4)
@@ -110,6 +112,20 @@ def test_decompose_rejects_shared_cutpoint():
     dec = pendant_cycle_decompose(make_B(4, 1, 4))
     assert isinstance(dec, DecompositionFailure)
     assert dec.reason in ("attachment-degree", "cycles-share-vertices")
+
+
+@given(connected_graphs())
+def test_pendant_cycle_decompose_cycles_are_disjoint(g):
+    s = summarize(g)
+    if s.cyclomatic == 0 or s.is_cycle:
+        return
+    dec = pendant_cycle_decompose(g)
+    if isinstance(dec, DecompositionFailure):
+        return
+    seen: set[int] = set()
+    for att in dec.attachments:
+        assert seen.isdisjoint(att.cycle_vertices)
+        seen.update(att.cycle_vertices)
 
 
 def test_optimal_certificate_attached_cycle():

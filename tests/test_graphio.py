@@ -13,6 +13,7 @@ from lgmult.graphio import (
     to_graph6,
     write_graphs_graph6,
 )
+from lgmult.graphs import build_graph
 from test_graphs import connected_graphs
 
 
@@ -32,6 +33,27 @@ def test_from_graph6_rejects_garbage():
         from_graph6("C")  # truncated bit block
     with pytest.raises(FormatError):
         from_graph6("C\x19\x19")  # bytes below the printable window
+
+
+def test_graph6_long_form_round_trip():
+    # byte 126, then n in three 6-bit groups: 63 = (0, 0, 63), 80 = (0, 1, 16)
+    for n, head in ((63, "~??~"), (80, "~?@O"), (300, "~?Ck")):
+        g = build_graph(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1), (3, n // 2)])
+        text = to_graph6(g)
+        assert text[:4] == head
+        back = from_graph6(text)
+        assert back.vertex_count == n
+        assert sorted(back.edges) == sorted(g.edges)
+    assert to_graph6(path(62))[0] == chr(62 + 63)
+
+
+def test_graph6_rejects_orders_past_long_form():
+    with pytest.raises(FormatError):
+        from_graph6("~~" + "?" * 6)
+    with pytest.raises(FormatError):
+        from_graph6("~?A")  # order field cut short
+    with pytest.raises(FormatError):
+        to_graph6(build_graph(258048, []))
 
 
 @given(connected_graphs())

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import cycle, cycle_plus_pendant, path, spider, star
+from lgmult.enumeration import enumerate_connected
 from lgmult.graphs import (
     DuplicateEdge,
     InvalidEdge,
@@ -9,11 +10,12 @@ from lgmult.graphs import (
     NotAPendantPath,
     Unreachable,
     build_graph,
+    components,
+    delete_edge,
     delete_pendant_path,
     distance,
     induced_subgraph,
     is_connected,
-    pendant_cycles,
     pendant_paths,
     summarize,
 )
@@ -52,6 +54,27 @@ def test_summarize_two_triangles_sharing_a_vertex():
     assert s.cyclomatic == 2 and s.pendant_count == 0
     assert s.cut_vertices == (2,)
     assert not s.is_cycle and not s.is_tree
+
+
+def test_bridges_and_cut_vertices_match_deletion():
+    # reference definitions: deleting a bridge or a cut vertex adds a component
+    disconnected = [
+        build_graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)]),
+        build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 1), (4, 5)]),
+    ]
+    graphs = [g for n in range(1, 8) for g in enumerate_connected(n)] + disconnected
+    for g in graphs:
+        s = summarize(g)
+        base = len(components(g))
+        everyone = set(range(g.vertex_count))
+        bridges = [e for e in g.edges if len(components(delete_edge(g, e))) > base]
+        cuts = [
+            v
+            for v in range(g.vertex_count)
+            if len(components(induced_subgraph(g, everyone - {v})[0])) > base
+        ]
+        assert s.bridges == tuple(sorted(bridges))
+        assert s.cut_vertices == tuple(cuts)
 
 
 def test_distance_examples():
@@ -108,26 +131,6 @@ def test_delete_pendant_path_rejects_foreign_path():
     p = pendant_paths(g)[0]
     with pytest.raises(NotAPendantPath):
         delete_pendant_path(cycle(5), p)
-
-
-def test_pendant_cycles_decorated_cycle():
-    got = pendant_cycles(cycle_plus_pendant(4))
-    assert len(got) == 1
-    assert got[0].major == 0
-    assert sorted(got[0].vertices) == [0, 1, 2, 3]
-
-
-def test_pendant_cycles_theta_empty():
-    # two degree-3 hubs lie on every cycle
-    theta222 = build_graph(5, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)])
-    assert pendant_cycles(theta222) == []
-
-
-def test_pendant_cycles_two_triangles_joined_by_edge():
-    g = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3)])
-    got = pendant_cycles(g)
-    assert len(got) == 2
-    assert sorted(c.major for c in got) == [0, 3]
 
 
 def test_induced_subgraph_relabeling():
@@ -190,11 +193,3 @@ def test_path_deletion_bookkeeping(g):
     assert after.cyclomatic == before.cyclomatic
     if not after.is_path and not after.is_cycle:
         assert after.pendant_count == before.pendant_count - 1
-
-
-@given(connected_graphs())
-def test_pendant_cycles_are_disjoint(g):
-    seen: set[int] = set()
-    for c in pendant_cycles(g):
-        assert seen.isdisjoint(c.vertices)
-        seen.update(c.vertices)

@@ -29,21 +29,12 @@ def test_line_graph_of_star_is_triangle():
     assert m.line.vertex_count == 3 and m.line.edge_count == 3
 
 
-def test_line_graph_maps_are_inverse():
-    g = build_graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
-    m = line_graph(g)
-    for e_id in range(g.edge_count):
-        assert m.vertex_to_edge[m.edge_to_vertex[e_id]] == e_id
-    for v in range(m.line.vertex_count):
-        assert m.edge_to_vertex[m.vertex_to_edge[v]] == v
-
-
 def test_line_graph_adjacency_is_shared_endpoint():
     g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
     m = line_graph(g)
     for u in range(m.line.vertex_count):
         for v in range(u + 1, m.line.vertex_count):
-            e, f = g.edges[m.vertex_to_edge[u]], g.edges[m.vertex_to_edge[v]]
+            e, f = g.edges[u], g.edges[v]  # line vertex i is base edge i
             shares = len(set(e) & set(f)) == 1
             assert m.line.has_edge(u, v) == shares
 

@@ -48,6 +48,8 @@ def test_trig_min_poly_examples():
     assert trig_min_poly(2, 3) == P([1, 1])
     assert trig_min_poly(1, 5) == P([-1, -1, 1])
     assert trig_min_poly(1, 4) == P([-2, 0, 1])
+    # one polynomial per root order: 1/5 and 3/5 both have order 10
+    assert trig_min_poly(1, 5) is trig_min_poly(3, 5)
 
 
 def test_trig_min_poly_vanishes_at_its_eigenvalue():

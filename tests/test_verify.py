@@ -2,7 +2,7 @@ import pytest
 
 from conftest import cycle, path, star
 from lgmult.certify import RecognizerRules
-from lgmult.families import two_cycles_edge
+from lgmult.families import FamilySpec, realize, two_cycles_edge
 from lgmult.graphs import build_graph, induced_subgraph
 from lgmult.linegraph import line_graph
 from lgmult.spectra import Eigenvalue, multiplicity
@@ -10,6 +10,7 @@ from lgmult.verify import (
     LEMMA_NAMES,
     cross_check,
     cross_check_detail,
+    check_graph,
     verify_block_agreement,
     verify_congruence_laws,
     verify_graphs,
@@ -26,6 +27,13 @@ def test_main_theorem_small_sweep():
     assert report.bound_violations == []
     assert report.equivalence_failures == []
     assert report.lambda_form_failures == []
+
+
+def test_check_graph_reports_on_graphs_past_62_vertices():
+    # graph6 needs its long form for this 80-vertex path
+    report = check_graph(realize(FamilySpec("path", (1, 40), {"t": 2})))
+    assert report.graphs_checked == 1
+    assert report.passed
 
 
 def test_main_theorem_rejects_tiny_range():
