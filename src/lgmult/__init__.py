@@ -54,6 +54,7 @@ from .spectra import (
     EigClass,
     Eigenvalue,
     annihilator_dimension,
+    annihilator_dimensions,
     candidate_pairs,
     char_poly,
     eig_classes,
@@ -91,6 +92,7 @@ __all__ = [
     "TwoCyclesEdge",
     "VerificationReport",
     "annihilator_dimension",
+    "annihilator_dimensions",
     "attach_cycles",
     "build_graph",
     "candidate_pairs",

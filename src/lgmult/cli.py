@@ -23,7 +23,7 @@ from .graphio import (
     read_graphs_graph6,
     to_graph6,
 )
-from .graphs import Graph, GraphError, multiplicity_bound
+from .graphs import Graph, GraphError, multiplicity_bound, summarize
 from .intpoly import poly_to_json
 from .linegraph import line_graph
 from .spectra import Eigenvalue, NonCanonical, multiplicity
@@ -105,12 +105,18 @@ def cmd_linegraph(args: argparse.Namespace) -> int:
 def cmd_mult(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     lam = _parse_lambda(args.lam)
+    s = summarize(g)
+    # the bound 2c + p - 1 covers L(G) for connected non-cycle G with an edge
+    covered = s.connected and not s.is_cycle and g.edge_count > 0
     _emit(
         {
             "graph6": to_graph6(g),
             "lambda": {"a": lam.a, "b": lam.b},
-            "multiplicity": multiplicity(g, lam),
-            "bound": multiplicity_bound(g),
+            "graph_multiplicity": multiplicity(g, lam),
+            "line_graph_multiplicity": (
+                multiplicity(line_graph(g).line, lam) if g.edge_count else 0
+            ),
+            "line_graph_bound": multiplicity_bound(g) if covered else None,
             "minimal_polynomial": poly_to_json(lam.minimal_polynomial),
         }
     )

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -363,28 +362,8 @@ def numeric_multiplicity(
 # kernel dimension over Q(lambda)
 
 
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -410,7 +389,7 @@ def _specialization_mod_p(n: int) -> tuple[int, int]:
     map Z[y]/(Psi) -> F_p.
     """
     p = (1 << 20) // n * n + 1
-    while not _is_probable_prime(p):
+    while not _is_prime(p):
         p += n
     qs = _prime_factors(n)
     rng = random.Random(n)
@@ -425,157 +404,182 @@ def _specialization_mod_p(n: int) -> tuple[int, int]:
     return p, r
 
 
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    """Row-echelon rank of an integer matrix mod p (rows are mutated)."""
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] % p:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col] % p, p - 2, p)
-        prow = [(v * inv) % p for v in rows[rank]]
-        rows[rank] = prow
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] % p:
-                c = rows[i][col] % p
-                rows[i] = [(v - c * pv) % p for v, pv in zip(rows[i], prow)]
-        rank += 1
-        if rank == ncols:
-            break
-    return rank
+# The screen multiplies residues mod p in int64, so a product must stay
+# below 2**63: p below 2**31 keeps p*p below 2**62.  Orders whose prime
+# is too large skip the screen and take the exact route.
+_SCREEN_PRIME_LIMIT = 1 << 31
+# int64 entries per stacked block of the screen, which bounds its memory
+_SCREEN_BLOCK_ENTRIES = 1 << 16
 
 
-def _certify_full_rank_mod_p(g: Graph, lam: Eigenvalue, cols: list[int]) -> bool:
-    """True when the lambda-specialized matrix has full column rank mod p,
-    which forces full column rank over Q(lambda) (a ring map cannot raise
-    rank), hence kernel dimension zero."""
-    p, r = _specialization_mod_p(lam.n)
+def _screen_full_rank(g: Graph, cols: list[int], orders: list[int]) -> set[int]:
+    """The orders n at which A[:, cols] - r_n*I has full column rank mod p_n.
+
+    Full rank mod p forces full rank over Q(lambda) (the ring map
+    Z[y]/(Psi) -> F_p cannot raise rank), hence kernel dimension zero; an
+    order the screen leaves out proves nothing.  The matrices of all orders
+    are stacked and eliminated together, fraction-free, so no modular
+    inverse is needed.
+    """
+    import numpy as np
+
+    specs = [(n, *_specialization_mod_p(n)) for n in orders]
+    specs = [s for s in specs if s[1] < _SCREEN_PRIME_LIMIT]
+    nrows, ncols = g.vertex_count, len(cols)
+    base = np.zeros((nrows, ncols), dtype=np.int64)
+    for k, j in enumerate(cols):
+        base[list(g.adj[j]), k] = 1
+    step = max(1, _SCREEN_BLOCK_ENTRIES // (nrows * ncols))
+    certified: set[int] = set()
+    for lo in range(0, len(specs), step):
+        block = specs[lo : lo + step]
+        ids = np.array([n for n, _, _ in block])
+        p = np.array([q for _, q, _ in block], dtype=np.int64)
+        mats = np.repeat(base[None], len(block), axis=0)
+        mats[:, cols, np.arange(ncols)] -= np.array([r for _, _, r in block])[:, None]
+        mats %= p[:, None, None]
+        for c in range(ncols):
+            nonzero = mats[:, c:, c] != 0
+            found = nonzero.any(axis=1)
+            if not found.all():
+                mats, p, ids, nonzero = mats[found], p[found], ids[found], nonzero[found]
+                if not len(ids):
+                    break
+            k = np.arange(len(ids))
+            piv = nonzero.argmax(axis=1) + c
+            mats[k, c], mats[k, piv] = mats[k, piv], mats[k, c].copy()
+            pivot_row = mats[:, c, c + 1 :]
+            pivot = mats[:, c, c][:, None, None]
+            factor = mats[:, c + 1 :, c][:, :, None]
+            rest = mats[:, c + 1 :, c + 1 :]
+            rest[...] = (pivot * rest - factor * pivot_row[:, None, :]) % p[:, None, None]
+        certified.update(int(n) for n in ids)
+    return certified
+
+
+def _ring_mul(u: Sequence[int], v: Sequence[int], psi: Sequence[int]) -> tuple[int, ...]:
+    """Product in Z[y]/(Psi) of two coefficient sequences, reduced to a
+    tuple of length deg(Psi); Psi is monic, so reducing needs no division."""
+    d = len(psi) - 1
+    out = [0] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        if a:
+            for j, b in enumerate(v):
+                out[i + j] += a * b
+    for i in range(len(out) - 1, d - 1, -1):
+        c = out[i]
+        if c:
+            for j in range(d):
+                out[i - d + j] -= c * psi[j]
+    return tuple(out[:d])
+
+
+@lru_cache(maxsize=None)
+def _conjugations(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The nontrivial automorphisms of Z[y]/(Psi_n), each given by the
+    images of the basis 1, y, ..., y^(d-1).
+
+    They send y to C_k(y) for k coprime to n with 1 < k < n/2, where
+    C_k(z + 1/z) = z^k + z^-k, that is 2cos(2*pi*j/n) -> 2cos(2*pi*j*k/n).
+    """
+    psi = _order_min_poly(n).coeffs
+    d = len(psi) - 1
+    one = (1,) + (0,) * (d - 1)
+    y = _ring_mul((0, 1), one, psi)
+    chebyshev = [(2,) + (0,) * (d - 1), y]  # C_0, C_1, ...
+    for _ in range(2, (n + 1) // 2):
+        c = _ring_mul(y, chebyshev[-1], psi)
+        chebyshev.append(tuple(a - b for a, b in zip(c, chebyshev[-2])))
+    out = []
+    for k in range(2, (n + 1) // 2):
+        if math.gcd(k, n) == 1:
+            powers = [one]
+            for _ in range(d - 1):
+                powers.append(_ring_mul(powers[-1], chebyshev[k], psi))
+            out.append(tuple(powers))
+    return tuple(out)
+
+
+def _nullity_exact(g: Graph, cols: list[int], n: int) -> int:
+    """Kernel dimension over Q(lambda) of A[:, cols] - lambda*I for the
+    eigenvalues of root order n, by fraction-free elimination in
+    Z[y]/(Psi_n).
+
+    Elements are int tuples of length deg(Psi), reduced by the monic Psi.
+    The pivot row is first multiplied by the product of the pivot's other
+    Galois conjugates, which turns the pivot into its norm, a nonzero
+    integer.  Every other row is then updated by cross-multiplication and
+    divided by the integer content of its entries, so each row stays a
+    rational multiple of the exact Schur-complement row and the integers
+    do not grow from step to step.
+    """
+    psi = _order_min_poly(n).coeffs
+    d = len(psi) - 1
+    conjugations = _conjugations(n)
+    zero, one = (0,) * d, (1,) + (0,) * (d - 1)
+    # -lambda: -y, or psi[0] when Psi = y + psi[0] has degree one
+    minus_lam = (psi[0],) if d == 1 else (0, -1) + (0,) * (d - 2)
     rows = []
     for i in range(g.vertex_count):
-        row = []
         nbrs = set(g.adj[i])
-        for j in cols:
-            v = 1 if j in nbrs else 0
-            if i == j:
-                v -= r
-            row.append(v % p)
-        rows.append(row)
-    return _rank_mod_p(rows, p) == len(cols)
+        rows.append([minus_lam if i == j else one if j in nbrs else zero for j in cols])
+    rank = 0
+    for _ in cols:
+        piv = next((k for k, row in enumerate(rows) if any(row[0])), None)
+        if piv is None:
+            rows = [row[1:] for row in rows]
+            continue
+        pivot, pivot_rest = rows[piv][0], rows.pop(piv)[1:]
+        rank += 1
+        cofactor = one
+        for images in conjugations:
+            image = [sum(c * basis[i] for c, basis in zip(pivot, images)) for i in range(d)]
+            cofactor = _ring_mul(cofactor, image, psi)
+        norm, *rest_of_norm = _ring_mul(cofactor, pivot, psi)
+        if any(rest_of_norm):
+            raise AssertionError(f"pivot norm is not an integer in Z[y]/(Psi_{n})")
+        pivot_rest = [_ring_mul(cofactor, y, psi) for y in pivot_rest]
+        for k, row in enumerate(rows):
+            f, rest = row[0], row[1:]
+            if any(f):
+                rest = [
+                    tuple(norm * a - b for a, b in zip(x, _ring_mul(f, y, psi)))
+                    for x, y in zip(rest, pivot_rest)
+                ]
+                content = math.gcd(*(c for e in rest for c in e))
+                if content > 1:
+                    rest = [tuple(c // content for c in e) for e in rest]
+            rows[k] = rest
+    return len(cols) - rank
 
 
-def _frac_poly_divmod(
-    a: list[Fraction], b: list[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    """Division with remainder in Q[y]; trailing zeros are not kept tidy."""
-    deg_b = len(b) - 1
-    while deg_b >= 0 and b[deg_b] == 0:
-        deg_b -= 1
-    if deg_b < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    deg_r = len(r) - 1
-    while deg_r >= 0 and r[deg_r] == 0:
-        deg_r -= 1
-    q = [Fraction(0)] * max(deg_r - deg_b + 1, 1)
-    inv_lead = 1 / b[deg_b]
-    while deg_r >= deg_b:
-        c = r[deg_r] * inv_lead
-        q[deg_r - deg_b] = c
-        for i in range(deg_b + 1):
-            r[deg_r - deg_b + i] -= c * b[i]
-        deg_r -= 1
-        while deg_r >= 0 and r[deg_r] == 0:
-            deg_r -= 1
-    return q, r[: deg_b] if deg_b > 0 else []
+def annihilator_dimensions(
+    g: Graph,
+    lams: Iterable[Eigenvalue],
+    dropped: Iterable[int] = (),
+    use_screen: bool = True,
+) -> list[int]:
+    """Kernel dimension over Q(lambda) of the column submatrix of A - lambda*I
+    keeping the columns outside ``dropped``, for each lambda in ``lams``.
 
-
-class _QLambda:
-    """Arithmetic in Q(lambda) = Q[y]/(Psi); elements are Fraction tuples of
-    length deg(Psi)."""
-
-    def __init__(self, psi: IntPoly) -> None:
-        self.psi = tuple(psi.coeffs)
-        self.d = psi.degree
-        self.zero = (Fraction(0),) * self.d
-        one = [Fraction(0)] * self.d
-        one[0] = Fraction(1)
-        self.one = tuple(one)
-        lam = [Fraction(0)] * max(self.d, 2)
-        lam[1] = Fraction(1)
-        self.lam = self._reduce(lam)
-
-    def _reduce(self, cs: list[Fraction]) -> tuple[Fraction, ...]:
-        d = self.d
-        psi = self.psi
-        for i in range(len(cs) - 1, d - 1, -1):
-            c = cs[i]
-            if c:
-                for j in range(d):
-                    cs[i - d + j] -= c * psi[j]
-                cs[i] = Fraction(0)
-        out = cs[:d]
-        while len(out) < d:
-            out.append(Fraction(0))
-        return tuple(out)
-
-    def from_int(self, v: int) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * self.d
-        out[0] = Fraction(v)
-        return tuple(out)
-
-    def mul(self, e1: Sequence[Fraction], e2: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * (2 * self.d - 1)
-        for i, c1 in enumerate(e1):
-            if c1:
-                for j, c2 in enumerate(e2):
-                    if c2:
-                        out[i + j] += c1 * c2
-        return self._reduce(out)
-
-    def sub(self, e1: Sequence[Fraction], e2: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return tuple(a - b for a, b in zip(e1, e2))
-
-    def is_zero(self, e: Sequence[Fraction]) -> bool:
-        return all(c == 0 for c in e)
-
-    def inv(self, e: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Extended Euclid against Psi; Psi irreducible makes every nonzero
-        residue invertible."""
-        a = [Fraction(c) for c in self.psi]
-        b = list(e)
-        s_a: list[Fraction] = [Fraction(0)]
-        s_b: list[Fraction] = [Fraction(1)]
-        while True:
-            deg_b = len(b) - 1
-            while deg_b >= 0 and b[deg_b] == 0:
-                deg_b -= 1
-            if deg_b < 0:
-                raise ZeroDivisionError("inverting zero in Q(lambda)")
-            if deg_b == 0:
-                inv_c = 1 / b[0]
-                return self._reduce([c * inv_c for c in s_b])
-            q, r = _frac_poly_divmod(a, b)
-            # s_new = s_a - q * s_b
-            prod = [Fraction(0)] * (len(q) + len(s_b))
-            for i, qc in enumerate(q):
-                if qc:
-                    for j, sc in enumerate(s_b):
-                        prod[i + j] += qc * sc
-            s_new = [Fraction(0)] * max(len(s_a), len(prod))
-            for i, c in enumerate(s_a):
-                s_new[i] += c
-            for i, c in enumerate(prod):
-                s_new[i] -= c
-            a, b = b, r
-            s_a, s_b = s_b, s_new
+    With nothing dropped this equals the eigenvalue multiplicity of lambda,
+    computed without reference to the characteristic polynomial.  The
+    answer depends on lambda only through its root order, so it is computed
+    once per order: a modular screen certifies the frequent full-rank
+    orders together, and every other order goes through exact elimination.
+    """
+    lams = list(lams)
+    drop = set(dropped)
+    for v in drop:
+        if not (0 <= v < g.vertex_count):
+            raise ValueError(f"dropped vertex {v} out of range")
+    cols = [j for j in range(g.vertex_count) if j not in drop]
+    if not cols:
+        return [0] * len(lams)
+    orders = sorted({lam.n for lam in lams})
+    full_rank = _screen_full_rank(g, cols, orders) if use_screen else set()
+    by_order = {n: 0 if n in full_rank else _nullity_exact(g, cols, n) for n in orders}
+    return [by_order[lam.n] for lam in lams]
 
 
 def annihilator_dimension(
@@ -584,54 +588,5 @@ def annihilator_dimension(
     dropped: Iterable[int] = (),
     use_screen: bool = True,
 ) -> int:
-    """Kernel dimension over Q(lambda) of the column submatrix of A - lambda*I
-    keeping the columns outside ``dropped``.
-
-    With nothing dropped this equals the eigenvalue multiplicity of lambda,
-    computed without reference to the characteristic polynomial.  A sound
-    modular screen settles the frequent full-rank case quickly; anything the
-    screen cannot certify goes through exact field elimination.
-    """
-    drop = set(dropped)
-    for v in drop:
-        if not (0 <= v < g.vertex_count):
-            raise ValueError(f"dropped vertex {v} out of range")
-    cols = [j for j in range(g.vertex_count) if j not in drop]
-    if not cols:
-        return 0
-    if use_screen and _certify_full_rank_mod_p(g, lam, cols):
-        return 0
-    field = _QLambda(lam.minimal_polynomial)
-    lam_elem = field.lam
-    rows = []
-    for i in range(g.vertex_count):
-        nbrs = set(g.adj[i])
-        row = []
-        for j in cols:
-            e = field.from_int(1 if j in nbrs else 0)
-            if i == j:
-                e = field.sub(e, lam_elem)
-            row.append(e)
-        rows.append(row)
-    rank = 0
-    ncols = len(cols)
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if not field.is_zero(rows[i][col]):
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = field.inv(rows[rank][col])
-        for i in range(rank + 1, len(rows)):
-            if field.is_zero(rows[i][col]):
-                continue
-            factor = field.mul(rows[i][col], inv)
-            rows[i] = [
-                field.sub(rows[i][j], field.mul(factor, rows[rank][j]))
-                for j in range(ncols)
-            ]
-        rank += 1
-    return ncols - rank
+    """annihilator_dimensions for a single lambda."""
+    return annihilator_dimensions(g, [lam], dropped, use_screen)[0]

@@ -17,7 +17,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .certify import (
     DEFAULT_RULES,
@@ -45,7 +45,7 @@ from .intpoly import IntPoly, div_exact, divides
 from .linegraph import block_structure, line_graph
 from .spectra import (
     Eigenvalue,
-    annihilator_dimension,
+    annihilator_dimensions,
     candidate_pairs,
     char_poly,
     cycle_char_poly,
@@ -320,6 +320,14 @@ def verify_main_theorem(
 # reduction identities
 
 
+def _once_per_order(
+    lams: Iterable[Eigenvalue], fn: Callable[[Eigenvalue], Any]
+) -> dict[int, Any]:
+    """fn at one lambda of each root order, keyed by the order, for an fn
+    that sees lambda only through its minimal polynomial."""
+    return {n: fn(lam) for n, lam in {lam.n: lam for lam in lams}.items()}
+
+
 def _record(report: VerificationReport, name: str, detail: dict[str, Any]) -> None:
     report.lemma_failures.setdefault(name, []).append(LemmaFailure(name, detail))
 
@@ -340,11 +348,12 @@ def _check_path_deletion(
     f_g = char_poly(line_graph(g).line)
     f_h = char_poly(line_graph(h).line) if h.edge_count else IntPoly.one()
     g6 = to_graph6(g)
+    mults = _once_per_order(
+        lams,
+        lambda lam: (multiplicity_in_poly(f_g, lam), multiplicity_in_poly(f_h, lam)),
+    )
     for lam in lams:
-        m_g = multiplicity_in_poly(f_g, lam)
-        if m_g == 0:
-            continue
-        m_h = multiplicity_in_poly(f_h, lam)
+        m_g, m_h = mults[lam.n]
         if m_g > m_h + 1:
             _record(
                 report,
@@ -456,9 +465,14 @@ def _check_probe_equivalence(
     bound = multiplicity_bound(g)
     f_line = char_poly(line_graph(g).line)
     g6 = to_graph6(g)
+    verdicts = _once_per_order(
+        lams,
+        lambda lam: (
+            edge_reduction_probe(g, lam), multiplicity_in_poly(f_line, lam) == bound
+        ),
+    )
     for lam in lams:
-        probe = edge_reduction_probe(g, lam)
-        optimal = multiplicity_in_poly(f_line, lam) == bound
+        probe, optimal = verdicts[lam.n]
         if optimal != probe.all_ok:
             _record(
                 report,
@@ -655,9 +669,10 @@ def cross_check_detail(g: Graph) -> list[dict[str, Any]]:
         return failures
     f = char_poly(g)
     spectrum = numeric_spectrum(g)
-    for lam in candidate_pairs(g.vertex_count):
-        via_poly = multiplicity_in_poly(f, lam)
-        via_nullity = annihilator_dimension(g, lam)
+    lams = candidate_pairs(g.vertex_count)
+    via_polys = _once_per_order(lams, lambda lam: multiplicity_in_poly(f, lam))
+    for lam, via_nullity in zip(lams, annihilator_dimensions(g, lams)):
+        via_poly = via_polys[lam.n]
         via_numeric = numeric_multiplicity(spectrum, lam)
         if via_poly != via_nullity or (
             via_numeric is not None and via_numeric != via_poly

@@ -27,6 +27,8 @@ from lgmult.verify import (
 NUMERIC_TOLERANCE = 1e-8
 MINUTES = 60.0
 
+pytestmark = pytest.mark.acceptance
+
 EXPECTED_TAGS = {
     "path": {"PathCase"},
     "spider": {"TreeCase"},

@@ -29,11 +29,27 @@ def test_linegraph_subcommand(capsys):
 
 
 def test_mult_subcommand(capsys):
+    # C4: A(C4) and A(L(C4)) = A(C4) both have 0 twice; the bound excludes cycles
     code, payload = run_json(capsys, ["mult", "--g6", "Cr", "--lambda", "1/2"])
     assert code == 0
     jsonschema.validate(payload, load_schema("mult"))
-    assert payload["multiplicity"] == 2
-    assert payload["bound"] == 2 * 1 + 0 - 1
+    assert payload["graph_multiplicity"] == 2
+    assert payload["line_graph_multiplicity"] == 2
+    assert payload["line_graph_bound"] is None
+
+    # C4 with a pendant path of two edges attains 2c + p - 1 = 2 at 0
+    g6 = to_graph6(build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 5)]))
+    code, payload = run_json(capsys, ["mult", "--g6", g6, "--lambda", "1/2"])
+    assert code == 0
+    jsonschema.validate(payload, load_schema("mult"))
+    assert payload["line_graph_multiplicity"] == payload["line_graph_bound"] == 2
+    assert payload["graph_multiplicity"] == 2
+
+    # P3: 0 is an eigenvalue of A(P3) but not of A(L(P3)) = A(P2)
+    code, payload = run_json(capsys, ["mult", "--g6", to_graph6(build_graph(3, [(0, 1), (1, 2)])), "--lambda", "1/2"])
+    assert code == 0
+    jsonschema.validate(payload, load_schema("mult"))
+    assert (payload["graph_multiplicity"], payload["line_graph_multiplicity"], payload["line_graph_bound"]) == (1, 0, 1)
 
 
 def test_check_optimal_and_not(capsys, tmp_path):

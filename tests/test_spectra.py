@@ -1,15 +1,22 @@
 import math
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import cycle, path, star
+from lgmult import spectra
+from lgmult.enumeration import enumerate_connected
 from lgmult.graphs import build_graph
 from lgmult.intpoly import IntPoly, divides
 from lgmult.spectra import (
     Eigenvalue,
     NonCanonical,
     annihilator_dimension,
+    annihilator_dimensions,
     candidate_pairs,
     char_poly,
     cycle_char_poly,
@@ -147,6 +154,81 @@ def test_annihilator_dimension_without_screen_matches():
     g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
     for lam in candidate_pairs(5):
         assert annihilator_dimension(g, lam, use_screen=False) == annihilator_dimension(g, lam)
+
+
+PETERSEN = build_graph(
+    10,
+    [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (1, 6), (2, 7), (3, 8),
+     (4, 9), (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)],
+)
+
+
+def test_annihilator_dimensions_match_char_poly():
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            lams = candidate_pairs(n)
+            f = char_poly(g)
+            assert annihilator_dimensions(g, lams) == [multiplicity_in_poly(f, lam) for lam in lams]
+
+
+@settings(max_examples=40)
+@given(connected_graphs(max_n=7), st.data())
+def test_screened_batch_matches_unscreened(g, data):
+    dropped = data.draw(st.sets(st.integers(0, g.vertex_count - 1), max_size=g.vertex_count))
+    lams = candidate_pairs(g.vertex_count)
+    assert annihilator_dimensions(g, lams, dropped) == annihilator_dimensions(
+        g, lams, dropped, use_screen=False
+    )
+
+
+def test_screen_never_certifies_a_singular_matrix():
+    every_col = list(range(4))
+    # 0 is a double eigenvalue of C4, 1 an eigenvalue of Petersen (multiplicity 5)
+    zero, one = Eigenvalue(1, 2), Eigenvalue(1, 3)
+    assert spectra._screen_full_rank(cycle(4), every_col, [zero.n]) == set()
+    assert spectra._screen_full_rank(PETERSEN, list(range(10)), [one.n]) == set()
+    # 1 is not an eigenvalue of C4, so that matrix is regular and certified
+    assert spectra._screen_full_rank(cycle(4), every_col, [zero.n, one.n]) == {one.n}
+    assert annihilator_dimension(PETERSEN, one) == 5
+
+
+def test_orders_too_large_for_int64_take_the_exact_route(monkeypatch):
+    lams = candidate_pairs(10)
+    want = [multiplicity(PETERSEN, lam) for lam in lams]
+    monkeypatch.setattr(spectra, "_SCREEN_PRIME_LIMIT", 2)
+    assert spectra._screen_full_rank(PETERSEN, list(range(10)), sorted({lam.n for lam in lams})) == set()
+    assert annihilator_dimensions(PETERSEN, lams) == want
+
+
+def test_screen_blocks_agree_with_one_stack(monkeypatch):
+    lams = candidate_pairs(10)
+    whole = annihilator_dimensions(PETERSEN, lams, [3])
+    monkeypatch.setattr(spectra, "_SCREEN_BLOCK_ENTRIES", 1)
+    assert annihilator_dimensions(PETERSEN, lams, [3]) == whole
+
+
+def test_exact_route_on_dense_graphs():
+    # plain cross-multiplication squares the integers' size at every step
+    # on a dense matrix; this 24-vertex case then takes minutes, not 0.1 s
+    rng = random.Random(1)
+    dense = build_graph(24, [(u, v) for u in range(24) for v in range(u + 1, 24) if rng.random() < 0.5])
+    # three 5-cycles, each vertex joined to every vertex of the other two
+    edges = [(5 * c + i, 5 * c + (i + 1) % 5) for c in range(3) for i in range(5)]
+    edges += [(u, v) for u in range(15) for v in range(u + 1, 15) if u // 5 != v // 5]
+    joined = build_graph(15, edges)
+    lams = [Eigenvalue(1, 2), Eigenvalue(2, 5), Eigenvalue(4, 5), Eigenvalue(1, 7)]
+    for g in (dense, joined):
+        want = [multiplicity(g, lam) for lam in lams]
+        assert annihilator_dimensions(g, lams, use_screen=False) == want
+    # the join keeps each 5-cycle's 2cos(2pi/5) and 2cos(4pi/5), twice each
+    assert want == [0, 6, 6, 0]
+
+
+def test_importing_the_exact_layers_does_not_load_numpy():
+    code = "import sys, lgmult.spectra, lgmult.verify; sys.exit('numpy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(spectra.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_numeric_spectrum_examples():
