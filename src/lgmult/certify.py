@@ -20,6 +20,7 @@ from functools import lru_cache
 from typing import ClassVar, Union
 
 from .graphs import (
+    GRAPH_CACHE_SIZE,
     Disconnected,
     Graph,
     GraphError,
@@ -206,7 +207,7 @@ def cycle_order_modulus(lam: Eigenvalue, rules: RecognizerRules = DEFAULT_RULES)
 # tree-side certificates
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _pendant_pair_distances(t: Graph) -> tuple[int, ...]:
     pend = summarize(t).pendant_vertices
     out = []
@@ -307,7 +308,7 @@ class DecompositionFailure:
     cycle_orders: tuple[int, ...] = ()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def pendant_cycle_decompose(
     g: Graph,
 ) -> CycleDecomposition | DecompositionFailure:
@@ -393,6 +394,13 @@ def optimal_certificate(
 
     The case conditions (c = 0, remainder emptiness, the c <= 2 / c >= 3
     split) are mutually exclusive, so at most one shape matches.
+
+    The verdict (optimal or not, the case tag, the NotOptimal reason) reads
+    lambda only through a % 2 and b, under any RecognizerRules.  The root
+    order n = Eigenvalue.n fixes both (n odd: a even and b = n; n even: a
+    odd and b = n/2), so every lambda of one order gets the same verdict;
+    ``verify.check_graph`` certifies one lambda per order on that basis.
+    Only the certificate's own parameters (lam, i, k) carry a itself.
     """
     if g.vertex_count == 0 or g.edge_count == 0:
         raise EmptyGraph("optimality needs a graph with at least one edge")

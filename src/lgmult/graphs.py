@@ -11,6 +11,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
+# Entries kept by each memo table keyed on a graph (summarize, line_graph,
+# char_poly, the squarefree classes, the pendant-cycle decomposition and
+# the pendant distances).  The checks of one graph reuse a handful of
+# entries, so this covers every reuse while a long sweep's memory stays
+# bounded.
+GRAPH_CACHE_SIZE = 1024
+
 
 class GraphError(ValueError):
     """Base class for graph construction and query errors."""
@@ -232,7 +239,7 @@ def biconnected_blocks(g: Graph) -> list[tuple[int, ...]]:
     return blocks
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def summarize(g: Graph) -> StructureSummary:
     """Connectivity, cyclomatic number, pendant/major vertices, and the
     bridges and cut vertices read off the blocks.

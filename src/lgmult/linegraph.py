@@ -21,6 +21,7 @@ from .graphs import (
     build_graph,
     is_connected,
     Disconnected,
+    GRAPH_CACHE_SIZE,
 )
 
 
@@ -40,7 +41,7 @@ class LineGraphMap:
     line: Graph
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def line_graph(g: Graph) -> LineGraphMap:
     """Construct L(g); raises EmptyGraph when g has no edges."""
     m = g.edge_count

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .graphs import Graph, components, induced_subgraph
+from .graphs import GRAPH_CACHE_SIZE, Graph, components, induced_subgraph
 from .intpoly import (
     IntPoly,
     compress_palindrome,
@@ -135,6 +135,25 @@ def candidate_pairs(max_degree: int) -> tuple[Eigenvalue, ...]:
     return tuple(out)
 
 
+def group_by_order(
+    lams: Iterable[Eigenvalue],
+) -> tuple[tuple[int, tuple[Eigenvalue, ...]], ...]:
+    """The eigenvalues grouped by root order n, one (n, group) entry per
+    order in order of first appearance, each group in input order."""
+    groups: dict[int, list[Eigenvalue]] = {}
+    for lam in lams:
+        groups.setdefault(lam.n, []).append(lam)
+    return tuple((n, tuple(group)) for n, group in groups.items())
+
+
+@lru_cache(maxsize=None)
+def candidate_orders(
+    max_degree: int,
+) -> tuple[tuple[int, tuple[Eigenvalue, ...]], ...]:
+    """candidate_pairs(max_degree) grouped by root order."""
+    return group_by_order(candidate_pairs(max_degree))
+
+
 # ---------------------------------------------------------------------------
 # characteristic polynomials
 
@@ -237,7 +256,7 @@ def _char_poly_leverrier(g: Graph) -> IntPoly:
     return IntPoly(tuple(coeffs))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def char_poly(g: Graph) -> IntPoly:
     """Characteristic polynomial of the adjacency matrix, monic in Z[x].
 
@@ -312,7 +331,7 @@ def eig_classes_from_poly(f: IntPoly) -> list[EigClass]:
     return classes
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _eig_classes_cached(g: Graph) -> tuple[EigClass, ...]:
     return tuple(eig_classes_from_poly(char_poly(g)))
 

@@ -1,13 +1,29 @@
 import pytest
 
 from conftest import cycle, path, star
-from lgmult.certify import RecognizerRules
+from lgmult.certify import DEFAULT_RULES, RecognizerRules, is_optimal, optimal_certificate
+from lgmult.enumeration import enumerate_connected
 from lgmult.families import FamilySpec, realize, two_cycles_edge
-from lgmult.graphs import build_graph, induced_subgraph
+from lgmult.graphio import to_graph6
+from lgmult.graphs import build_graph, induced_subgraph, multiplicity_bound, summarize
+from lgmult.intpoly import div_exact, divides
 from lgmult.linegraph import line_graph
-from lgmult.spectra import Eigenvalue, multiplicity
+from lgmult.spectra import (
+    Eigenvalue,
+    candidate_orders,
+    candidate_pairs,
+    char_poly,
+    eig_classes,
+    multiplicity,
+    multiplicity_in_poly,
+)
 from lgmult.verify import (
     LEMMA_NAMES,
+    BoundViolation,
+    EquivalenceFailure,
+    LambdaFormFailure,
+    VerificationReport,
+    _verdict_string,
     cross_check,
     cross_check_detail,
     check_graph,
@@ -133,3 +149,108 @@ def test_congruence_laws_small():
 
 def test_block_agreement_small():
     assert verify_block_agreement(8) == []
+
+
+RULE_SETS = (
+    DEFAULT_RULES,
+    RecognizerRules(path_residue_shift=1),
+    RecognizerRules(tree_residue_shift=1),
+    RecognizerRules(halve_cycle_modulus=True),
+)
+RULE_IDS = ("default", "path_residue_shift", "tree_residue_shift", "halve_cycle_modulus")
+
+# one realized positive spec per structural case
+CASE_SPECS = (
+    FamilySpec("path", (1, 4), {"t": 3}),
+    FamilySpec("tree", (2, 5), {"legs": 3, "steps": 4}, seed=1),
+    FamilySpec("attached_cycles", (2, 5), {"tree": "spider", "legs": 3, "r": 1, "multiples": [1, 2]}),
+    FamilySpec("two_cycles_edge", (1, 3), {"n1": 6, "n2": 12}),
+    FamilySpec("attached_cycles", (2, 3), {"tree": "spider", "legs": 4, "r": 1, "multiples": [1] * 4}),
+)
+
+
+def _checkable_graphs(max_n):
+    for n in range(2, max_n + 1):
+        for g in enumerate_connected(n):
+            if not summarize(g).is_cycle:
+                yield g
+
+
+def _reference_check_graph(g, rules):
+    """check_graph as a per-candidate scan: one certificate and one
+    multiplicity for every lambda, without grouping by root order."""
+    report = VerificationReport()
+    s = summarize(g)
+    if not s.connected or s.is_cycle or g.edge_count == 0:
+        return report
+    report.graphs_checked = 1
+    g6 = to_graph6(g)
+    line = line_graph(g).line
+    bound = multiplicity_bound(g)
+    line_poly = char_poly(line)
+    for cls in eig_classes(line):
+        if cls.multiplicity > bound:
+            report.bound_violations.append(
+                BoundViolation(g6, cls.factor.coeffs, cls.multiplicity, bound)
+            )
+        if cls.multiplicity == bound:
+            residual = cls.factor
+            for lam in candidate_pairs(residual.degree):
+                psi = lam.minimal_polynomial
+                if psi.degree > residual.degree:
+                    continue
+                if residual(2) % psi(2) == 0 and divides(psi, residual):
+                    residual = div_exact(residual, psi)
+                if residual.degree == 0:
+                    break
+            if residual.degree > 0:
+                report.lambda_form_failures.append(
+                    LambdaFormFailure(g6, cls.factor.coeffs, cls.multiplicity, residual.coeffs)
+                )
+    for lam in candidate_pairs(g.edge_count):
+        cert = optimal_certificate(g, lam, rules)
+        mult = multiplicity_in_poly(line_poly, lam)
+        report.candidates_checked += 1
+        if is_optimal(cert) != (mult == bound):
+            report.equivalence_failures.append(
+                EquivalenceFailure(g6, lam, _verdict_string(cert), mult, bound)
+            )
+    return report
+
+
+def _without_elapsed(report):
+    payload = report.to_json_dict()
+    payload.pop("elapsed")
+    return payload
+
+
+@pytest.mark.parametrize("rules", RULE_SETS, ids=RULE_IDS)
+def test_certificate_verdict_is_shared_by_each_root_order(rules):
+    # check_graph certifies only the first lambda of each order
+    for g in _checkable_graphs(7):
+        for _, lams in candidate_orders(g.edge_count):
+            first = _verdict_string(optimal_certificate(g, lams[0], rules))
+            for lam in lams[1:]:
+                assert _verdict_string(optimal_certificate(g, lam, rules)) == first, (
+                    to_graph6(g), lam, rules,
+                )
+
+
+@pytest.mark.parametrize("rules", RULE_SETS, ids=RULE_IDS)
+def test_check_graph_matches_the_per_candidate_scan(rules):
+    graphs = [*_checkable_graphs(7), *(realize(spec) for spec in CASE_SPECS)]
+    for g in graphs:
+        assert _without_elapsed(check_graph(g, rules)) == _without_elapsed(
+            _reference_check_graph(g, rules)
+        ), (to_graph6(g), rules)
+
+
+def test_case_specs_attain_the_bound():
+    tags = set()
+    for spec in CASE_SPECS:
+        g = realize(spec)
+        cert = optimal_certificate(g, spec.eigenvalue)
+        assert is_optimal(cert)
+        assert multiplicity(line_graph(g).line, spec.eigenvalue) == multiplicity_bound(g)
+        tags.add(cert.case_tag)
+    assert tags == {"PathCase", "TreeCase", "AttachedCycles", "TwoCyclesEdge", "ManyCycles"}
