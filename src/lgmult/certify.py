@@ -31,8 +31,8 @@ from .graphs import (
     multiplicity_bound,
     summarize,
 )
-from .linegraph import BlockStructure, EmptyGraph, block_block_distance, line_graph
-from .spectra import Eigenvalue, candidate_pairs, multiplicity
+from .linegraph import BlockStructure, EmptyGraph, block_block_distance
+from .spectra import Eigenvalue, candidate_pairs, line_char_poly, multiplicity_in_poly
 
 
 class NotAPath(GraphError):
@@ -195,12 +195,9 @@ def lambda_candidates(g: Graph) -> list[Eigenvalue]:
 
 
 def cycle_order_modulus(lam: Eigenvalue, rules: RecognizerRules = DEFAULT_RULES) -> int:
-    """Required divisor of attached-cycle orders: b when a is even, 2b when
-    a is odd."""
-    m = lam.b if lam.a % 2 == 0 else 2 * lam.b
-    if rules.halve_cycle_modulus:
-        m = max(1, m // 2)
-    return m
+    """Required divisor of attached-cycle orders: the root order of lambda,
+    b when a is even and 2b when a is odd."""
+    return max(1, lam.n // 2) if rules.halve_cycle_modulus else lam.n
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +486,8 @@ def edge_reduction_probe(g: Graph, lam: Eigenvalue) -> ProbeReport:
     if edge is None:
         raise NoQualifyingEdge("no cycle edge incident to a major vertex")
     reduced = delete_edge(g, edge)
-    m_g = multiplicity(line_graph(g).line, lam)
-    m_r = multiplicity(line_graph(reduced).line, lam)
+    m_g = multiplicity_in_poly(line_char_poly(g), lam)
+    m_r = multiplicity_in_poly(line_char_poly(reduced), lam)
     return ProbeReport(
         edge=edge,
         mult_drop_ok=(m_g == m_r + 1),

@@ -26,7 +26,13 @@ from .graphio import (
 from .graphs import Graph, GraphError, multiplicity_bound, summarize
 from .intpoly import poly_to_json
 from .linegraph import line_graph
-from .spectra import Eigenvalue, NonCanonical, multiplicity
+from .spectra import (
+    Eigenvalue,
+    NonCanonical,
+    line_char_poly,
+    multiplicity,
+    multiplicity_in_poly,
+)
 from .verify import verify_graphs, verify_lemmas, verify_main_theorem
 
 
@@ -113,9 +119,7 @@ def cmd_mult(args: argparse.Namespace) -> int:
             "graph6": to_graph6(g),
             "lambda": {"a": lam.a, "b": lam.b},
             "graph_multiplicity": multiplicity(g, lam),
-            "line_graph_multiplicity": (
-                multiplicity(line_graph(g).line, lam) if g.edge_count else 0
-            ),
+            "line_graph_multiplicity": multiplicity_in_poly(line_char_poly(g), lam),
             "line_graph_bound": multiplicity_bound(g) if covered else None,
             "minimal_polynomial": poly_to_json(lam.minimal_polynomial),
         }
@@ -167,7 +171,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         graph = realize(spec)
     except UsageError:
         raise
-    except (ValueError, KeyError, GraphError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, KeyError, GraphError, OSError) as exc:
+        # TypeError: a spec value of the wrong JSON type, such as "t": null
         raise UsageError(f"cannot realize family spec: {exc}") from exc
     _emit({"spec": spec.to_json_dict(), "graph": _graph_json(graph)})
     return 0

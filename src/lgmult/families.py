@@ -273,7 +273,9 @@ class FamilySpec:
         return out
 
     @classmethod
-    def from_json_dict(cls, data: dict[str, Any]) -> "FamilySpec":
+    def from_json_dict(cls, data: Any) -> "FamilySpec":
+        if not isinstance(data, dict):
+            raise ValueError(f"family spec must be a JSON object, got {data!r}")
         lam = None
         if "lambda" in data:
             raw = data["lambda"]
@@ -282,12 +284,17 @@ class FamilySpec:
             elif isinstance(raw, str):
                 e = Eigenvalue.parse(raw)
                 lam = (e.a, e.b)
-            else:
+            elif isinstance(raw, list) and len(raw) == 2:
                 lam = (int(raw[0]), int(raw[1]))
+            else:
+                raise ValueError(f"lambda must be {{a, b}}, 'a/b' or [a, b], got {raw!r}")
+        params = data.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError(f"params must be a JSON object, got {params!r}")
         return cls(
             case=data["case"],
             lam=lam,
-            params=dict(data.get("params", {})),
+            params=dict(params),
             seed=int(data.get("seed", 0)),
         )
 
@@ -342,9 +349,7 @@ def realize(spec: FamilySpec) -> Graph:
             raise ValueError(
                 f"{len(multiples)} cycles but only {len(pendants)} pendants"
             )
-        lam = spec.eigenvalue
-        modulus = lam.b if lam.a % 2 == 0 else 2 * lam.b
-        orders = [m * modulus for m in multiples]
+        orders = [m * spec.eigenvalue.n for m in multiples]
         return attach_cycles(tree, pendants[: len(multiples)], orders)
     if spec.case == "two_cycles_edge":
         return two_cycles_edge(int(p["n1"]), int(p["n2"]))
@@ -412,8 +417,7 @@ def random_positive_spec(case: str, seed: int) -> FamilySpec:
         return FamilySpec("attached_cycles", lam, params, seed=seed)
     if case == "two_cycles_edge":
         lam = _lambda_pool(rng, even_odd_only=False, max_b=5)
-        a, b = lam
-        modulus = b if a % 2 == 0 else 2 * b
+        modulus = Eigenvalue(*lam).n
         return FamilySpec(
             "two_cycles_edge",
             lam,

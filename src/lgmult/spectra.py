@@ -27,6 +27,7 @@ from .intpoly import (
     divides,
     squarefree_decomposition,
 )
+from .linegraph import line_graph
 
 
 class NonCanonical(ValueError):
@@ -178,52 +179,6 @@ def cycle_char_poly(k: int) -> IntPoly:
     return path_char_poly(k) - path_char_poly(k - 2) - IntPoly.constant(2)
 
 
-def _char_poly_forest(g: Graph) -> IntPoly:
-    """Rooted product formula, iterative so deep paths are fine."""
-    x = IntPoly.x()
-    f: dict[int, IntPoly] = {}
-    sub: dict[int, IntPoly] = {}  # product of the children's f
-    visited = [False] * g.vertex_count
-    result = IntPoly.one()
-    for root in range(g.vertex_count):
-        if visited[root]:
-            continue
-        order: list[int] = []
-        parent: dict[int, int] = {root: -1}
-        stack = [root]
-        visited[root] = True
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for w in g.adj[v]:
-                if not visited[w]:
-                    visited[w] = True
-                    parent[w] = v
-                    stack.append(w)
-        for v in reversed(order):
-            children = [w for w in g.adj[v] if w != parent[v]]
-            if not children:
-                f[v] = x
-                sub[v] = IntPoly.one()
-                continue
-            fs = [f[c] for c in children]
-            k = len(fs)
-            pre = [IntPoly.one()] * (k + 1)
-            for i in range(k):
-                pre[i + 1] = pre[i] * fs[i]
-            suf = [IntPoly.one()] * (k + 1)
-            for i in range(k - 1, -1, -1):
-                suf[i] = fs[i] * suf[i + 1]
-            total = pre[k]
-            acc = x * total
-            for i, c in enumerate(children):
-                acc = acc - sub[c] * (pre[i] * suf[i + 1])
-            f[v] = acc
-            sub[v] = total
-        result = result * f[root]
-    return result
-
-
 def _char_poly_leverrier(g: Graph) -> IntPoly:
     """Faddeev-LeVerrier over plain integers; A is 0/1 so A @ M is row sums."""
     n = g.vertex_count
@@ -260,9 +215,10 @@ def _char_poly_leverrier(g: Graph) -> IntPoly:
 def char_poly(g: Graph) -> IntPoly:
     """Characteristic polynomial of the adjacency matrix, monic in Z[x].
 
-    Dispatches on structure: closed forms for paths and cycles, the rooted
-    product rule for forests, matrix arithmetic otherwise; disconnected
-    graphs multiply over components.  Memoized on the immutable Graph.
+    Disconnected graphs multiply over components; a path takes its closed
+    form (much cheaper than the matrix route on long paths, and valid only
+    on a connected graph), every other component goes through
+    Faddeev-LeVerrier.  Memoized on the immutable Graph.
     """
     if g.vertex_count == 0:
         return IntPoly.one()
@@ -274,14 +230,15 @@ def char_poly(g: Graph) -> IntPoly:
             acc = acc * char_poly(sub)
         return acc
     n = g.vertex_count
-    degs = g.degrees()
-    if g.edge_count == n - 1:
-        if all(d <= 2 for d in degs):
-            return path_char_poly(n)
-        return _char_poly_forest(g)
-    if n >= 3 and all(d == 2 for d in degs):
-        return cycle_char_poly(n)
+    if g.edge_count == n - 1 and all(d <= 2 for d in g.degrees()):
+        return path_char_poly(n)
     return _char_poly_leverrier(g)
+
+
+def line_char_poly(g: Graph) -> IntPoly:
+    """Characteristic polynomial of the line graph L(g), keyed by g; 1 when
+    g has no edges (L(g) then has no vertices)."""
+    return char_poly(line_graph(g).line) if g.edge_count else IntPoly.one()
 
 
 # ---------------------------------------------------------------------------
@@ -323,23 +280,13 @@ class EigClass:
     multiplicity: int
 
 
-def eig_classes_from_poly(f: IntPoly) -> list[EigClass]:
-    classes = [
-        EigClass(h, m) for h, m in squarefree_decomposition(f) if h.degree > 0
-    ]
-    classes.sort(key=lambda c: (-c.multiplicity, c.factor.degree, c.factor.coeffs))
-    return classes
-
-
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
-def _eig_classes_cached(g: Graph) -> tuple[EigClass, ...]:
-    return tuple(eig_classes_from_poly(char_poly(g)))
-
-
-def eig_classes(g: Graph) -> list[EigClass]:
-    """Squarefree split of char_poly(g), sorted by descending multiplicity,
-    then degree, then coefficients."""
-    return list(_eig_classes_cached(g))
+def eig_classes(f: IntPoly) -> tuple[EigClass, ...]:
+    """Squarefree split of f, sorted by descending multiplicity, then
+    degree, then coefficients."""
+    classes = [EigClass(h, m) for h, m in squarefree_decomposition(f) if h.degree > 0]
+    classes.sort(key=lambda c: (-c.multiplicity, c.factor.degree, c.factor.coeffs))
+    return tuple(classes)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,16 @@ def test_usage_errors_exit_two(capsys):
     assert main(["check", "--g6", "Cr", "--lambda", "5/3"]) == 2  # non-canonical
     assert main(["mult", "--g6", "", "--lambda", "1/2"]) == 2
     assert main(["gen", "--seed", "1"]) == 2  # no case
+    for spec in (
+        {"case": "path", "lambda": [1], "params": {"t": 2}},
+        {"case": "path", "lambda": 5, "params": {"t": 2}},
+        {"case": "path", "lambda": "1/2", "params": [1]},
+        [1, 2],
+        {"case": "path", "lambda": "1/2", "params": {"t": None}},
+        {"case": "attached_cycles", "lambda": "2/3", "params": {"multiples": 3}},
+    ):
+        assert main(["gen", "--spec-json", json.dumps(spec)]) == 2, spec
+    assert main(["gen", "--case", "path", "--lambda", "1/2", "--param", "t=[1]"]) == 2
     capsys.readouterr()
 
 

@@ -12,6 +12,7 @@ from lgmult import spectra
 from lgmult.enumeration import enumerate_connected
 from lgmult.graphs import build_graph
 from lgmult.intpoly import IntPoly, divides
+from lgmult.linegraph import line_graph
 from lgmult.spectra import (
     Eigenvalue,
     NonCanonical,
@@ -21,6 +22,7 @@ from lgmult.spectra import (
     char_poly,
     cycle_char_poly,
     eig_classes,
+    line_char_poly,
     multiplicity,
     multiplicity_in_poly,
     numeric_multiplicity,
@@ -85,10 +87,18 @@ def test_char_poly_examples():
 
 
 def test_char_poly_closed_forms():
+    # against the matrix route directly: char_poly itself dispatches paths
+    # to the closed form
     for k in range(1, 13):
-        assert path_char_poly(k) == char_poly(path(k))
+        assert path_char_poly(k) == spectra._char_poly_leverrier(path(k))
         if k >= 3:
-            assert cycle_char_poly(k) == char_poly(cycle(k))
+            assert cycle_char_poly(k) == spectra._char_poly_leverrier(cycle(k))
+
+
+def test_line_char_poly():
+    assert line_char_poly(build_graph(3, [])) == IntPoly.one()
+    for g in (path(5), cycle(4), star(3)):
+        assert line_char_poly(g) == char_poly(line_graph(g).line)
 
 
 def test_multiplicity_examples():
@@ -107,23 +117,23 @@ def test_path_membership_law_small():
 
 
 def test_eig_classes_examples():
-    got = eig_classes(cycle(4))
+    got = eig_classes(char_poly(cycle(4)))
     assert [(c.factor, c.multiplicity) for c in got] == [
         (P([0, 1]), 2),
         (P([-4, 0, 1]), 1),
     ]
-    got = eig_classes(star(3))
+    got = eig_classes(char_poly(star(3)))
     assert [(c.factor, c.multiplicity) for c in got] == [
         (P([0, 1]), 2),
         (P([-3, 0, 1]), 1),
     ]
-    got = eig_classes(path(2))
+    got = eig_classes(char_poly(path(2)))
     assert [(c.factor, c.multiplicity) for c in got] == [(P([-1, 0, 1]), 1)]
 
 
 @given(connected_graphs(max_n=7))
 def test_eig_class_degrees_sum_to_order(g):
-    assert sum(c.factor.degree * c.multiplicity for c in eig_classes(g)) == g.vertex_count
+    assert sum(c.factor.degree * c.multiplicity for c in eig_classes(char_poly(g))) == g.vertex_count
 
 
 def test_candidate_pairs_small_degree():

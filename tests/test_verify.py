@@ -188,7 +188,7 @@ def _reference_check_graph(g, rules):
     line = line_graph(g).line
     bound = multiplicity_bound(g)
     line_poly = char_poly(line)
-    for cls in eig_classes(line):
+    for cls in eig_classes(line_poly):
         if cls.multiplicity > bound:
             report.bound_violations.append(
                 BoundViolation(g6, cls.factor.coeffs, cls.multiplicity, bound)
