@@ -28,6 +28,14 @@ class DuplicateAttachment(GraphError):
     """The same vertex was named twice as an attachment point."""
 
 
+def _integer(value: Any, name: str) -> int:
+    """An integer read from a spec; a bool or a non-integral number is
+    rejected rather than truncated by int()."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _as_eigenvalue(lam: Eigenvalue | tuple[int, int]) -> Eigenvalue:
     if isinstance(lam, Eigenvalue):
         return lam
@@ -280,12 +288,12 @@ class FamilySpec:
         if "lambda" in data:
             raw = data["lambda"]
             if isinstance(raw, dict):
-                lam = (int(raw["a"]), int(raw["b"]))
+                lam = (_integer(raw["a"], "lambda a"), _integer(raw["b"], "lambda b"))
             elif isinstance(raw, str):
                 e = Eigenvalue.parse(raw)
                 lam = (e.a, e.b)
             elif isinstance(raw, list) and len(raw) == 2:
-                lam = (int(raw[0]), int(raw[1]))
+                lam = (_integer(raw[0], "lambda a"), _integer(raw[1], "lambda b"))
             else:
                 raise ValueError(f"lambda must be {{a, b}}, 'a/b' or [a, b], got {raw!r}")
         params = data.get("params", {})
@@ -295,7 +303,7 @@ class FamilySpec:
             case=data["case"],
             lam=lam,
             params=dict(params),
-            seed=int(data.get("seed", 0)),
+            seed=_integer(data.get("seed", 0), "seed"),
         )
 
     @classmethod
@@ -308,18 +316,18 @@ def _realize_tree(spec: FamilySpec) -> Graph:
     params = spec.params
     kind = params.get("tree", "spider")
     if kind == "path":
-        return make_congruent_path(spec.eigenvalue, int(params.get("t", 1)))
+        return make_congruent_path(spec.eigenvalue, _integer(params.get("t", 1), "t"))
     if kind == "spider":
         return make_congruent_spider(
             spec.eigenvalue,
-            int(params.get("legs", 3)),
-            int(params.get("r", 0)),
+            _integer(params.get("legs", 3), "legs"),
+            _integer(params.get("r", 0), "r"),
         )
     if kind == "tree":
         return make_congruent_tree(
             spec.eigenvalue,
-            int(params.get("legs", 3)),
-            int(params.get("steps", 0)),
+            _integer(params.get("legs", 3), "legs"),
+            _integer(params.get("steps", 0), "steps"),
             spec.seed,
         )
     raise ValueError(f"unknown host tree kind {kind!r}")
@@ -329,22 +337,22 @@ def realize(spec: FamilySpec) -> Graph:
     """Build the graph a FamilySpec describes."""
     p = spec.params
     if spec.case == "path":
-        return make_congruent_path(spec.eigenvalue, int(p["t"]))
+        return make_congruent_path(spec.eigenvalue, _integer(p["t"], "t"))
     if spec.case == "spider":
         return make_congruent_spider(
-            spec.eigenvalue, int(p["legs"]), int(p.get("r", 0))
+            spec.eigenvalue, _integer(p["legs"], "legs"), _integer(p.get("r", 0), "r")
         )
     if spec.case == "tree":
         return make_congruent_tree(
             spec.eigenvalue,
-            int(p.get("legs", 3)),
-            int(p.get("steps", 0)),
+            _integer(p.get("legs", 3), "legs"),
+            _integer(p.get("steps", 0), "steps"),
             spec.seed,
         )
     if spec.case == "attached_cycles":
         tree = _realize_tree(spec)
         pendants = [v for v in range(tree.vertex_count) if tree.degree(v) == 1]
-        multiples = [int(m) for m in p["multiples"]]
+        multiples = [_integer(m, "multiples") for m in p["multiples"]]
         if len(multiples) > len(pendants):
             raise ValueError(
                 f"{len(multiples)} cycles but only {len(pendants)} pendants"
@@ -352,11 +360,11 @@ def realize(spec: FamilySpec) -> Graph:
         orders = [m * spec.eigenvalue.n for m in multiples]
         return attach_cycles(tree, pendants[: len(multiples)], orders)
     if spec.case == "two_cycles_edge":
-        return two_cycles_edge(int(p["n1"]), int(p["n2"]))
+        return two_cycles_edge(_integer(p["n1"], "n1"), _integer(p["n2"], "n2"))
     if spec.case == "B":
-        return make_B(int(p["l"]), int(p["x"]), int(p["k"]))
+        return make_B(_integer(p["l"], "l"), _integer(p["x"], "x"), _integer(p["k"], "k"))
     if spec.case == "theta":
-        return make_theta(int(p["k"]), int(p["x"]), int(p["l"]))
+        return make_theta(_integer(p["k"], "k"), _integer(p["x"], "x"), _integer(p["l"], "l"))
     raise AssertionError(f"unhandled case {spec.case!r}")
 
 

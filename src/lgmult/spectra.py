@@ -8,6 +8,15 @@ the minimal polynomial of lambda over Q comes out of the n-th cyclotomic
 polynomial by the substitution y = x + 1/x.  All multiplicity statements
 are settled by exact integer arithmetic on characteristic polynomials;
 floating point only ever appears in the explicitly numeric routines.
+
+The spectrum of a line graph L(G) is read off the n x n matrix
+Q - 2I = (D - 2I) + A of G itself, never off the m x m matrix A(L(G)).
+With B the vertex-edge incidence matrix, B B^T = Q = D + A and
+B^T B = A(L(G)) + 2I share their nonzero eigenvalues, so
+P_L(G)(x) = (x+2)^(m-n) * det(xI - (Q - 2I)) (Cvetkovic, Rowlinson and
+Simic, Spectral Generalizations of Line Graphs, LMS Lecture Notes 314,
+2004, ch. 1).  One Faddeev-LeVerrier pass of degree n and one squarefree
+split of degree n then serve L(G), with the factor x + 2 carried apart.
 """
 
 from __future__ import annotations
@@ -27,7 +36,6 @@ from .intpoly import (
     divides,
     squarefree_decomposition,
 )
-from .linegraph import line_graph
 
 
 class NonCanonical(ValueError):
@@ -179,10 +187,13 @@ def cycle_char_poly(k: int) -> IntPoly:
     return path_char_poly(k) - path_char_poly(k - 2) - IntPoly.constant(2)
 
 
-def _char_poly_leverrier(g: Graph) -> IntPoly:
-    """Faddeev-LeVerrier over plain integers; A is 0/1 so A @ M is row sums."""
+def _char_poly_leverrier(g: Graph, diag: Sequence[int] = ()) -> IntPoly:
+    """Characteristic polynomial of X = diag(diag) + A(g), by Faddeev-LeVerrier
+    over plain integers; an empty ``diag`` means the zero diagonal, so the
+    adjacency polynomial.  A is 0/1, so a row of X @ M is a sum of rows of M."""
     n = g.vertex_count
     adj = g.adj
+    diag = diag or (0,) * n
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -190,11 +201,13 @@ def _char_poly_leverrier(g: Graph) -> IntPoly:
         am = []
         for i in range(n):
             nbrs = adj[i]
-            if not nbrs:
-                am.append([0] * n)
-                continue
-            row = list(m[nbrs[0]])
-            for w in nbrs[1:]:
+            if diag[i]:
+                row = [diag[i] * v for v in m[i]]
+            elif nbrs:
+                row, nbrs = list(m[nbrs[0]]), nbrs[1:]
+            else:
+                row = [0] * n
+            for w in nbrs:
                 mw = m[w]
                 for j in range(n):
                     row[j] += mw[j]
@@ -209,6 +222,14 @@ def _char_poly_leverrier(g: Graph) -> IntPoly:
                 am[i][i] += c
             m = am
     return IntPoly(tuple(coeffs))
+
+
+def _is_path(g: Graph) -> bool:
+    return (
+        g.edge_count == g.vertex_count - 1
+        and all(d <= 2 for d in g.degrees())
+        and len(components(g)) == 1
+    )
 
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
@@ -229,16 +250,38 @@ def char_poly(g: Graph) -> IntPoly:
             sub, _ = induced_subgraph(g, comp)
             acc = acc * char_poly(sub)
         return acc
-    n = g.vertex_count
-    if g.edge_count == n - 1 and all(d <= 2 for d in g.degrees()):
-        return path_char_poly(n)
+    if _is_path(g):
+        return path_char_poly(g.vertex_count)
     return _char_poly_leverrier(g)
+
+
+_X_PLUS_2 = IntPoly((2, 1))
+
+
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
+def _line_spectrum(g: Graph) -> tuple[IntPoly, int]:
+    """(R, e) with char_poly(L(g)) = R * (x+2)**e and R(-2) != 0, keyed by g.
+
+    R is det(xI - (Q - 2I)) with every factor x + 2 divided out, and e is
+    m - n plus the number divided out (the bipartite components of g, each
+    isolated vertex included).  A path keeps its closed form, since
+    L(P_n) = P_(n-1) has no eigenvalue -2.
+    """
+    if _is_path(g):
+        return path_char_poly(g.edge_count), 0
+    r = _char_poly_leverrier(g, [d - 2 for d in g.degrees()])
+    e = g.edge_count - g.vertex_count
+    while r(-2) == 0:
+        r = div_exact(r, _X_PLUS_2)
+        e += 1
+    return r, e
 
 
 def line_char_poly(g: Graph) -> IntPoly:
     """Characteristic polynomial of the line graph L(g), keyed by g; 1 when
-    g has no edges (L(g) then has no vertices)."""
-    return char_poly(line_graph(g).line) if g.edge_count else IntPoly.one()
+    g has no edges (L(g) then has no vertices).  L(g) itself is never built."""
+    r, e = _line_spectrum(g)
+    return r * IntPoly(tuple(math.comb(e, i) * 2 ** (e - i) for i in range(e + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +323,29 @@ class EigClass:
     multiplicity: int
 
 
+def _class_key(c: EigClass) -> tuple[int, int, tuple[int, ...]]:
+    return (-c.multiplicity, c.factor.degree, c.factor.coeffs)
+
+
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def eig_classes(f: IntPoly) -> tuple[EigClass, ...]:
     """Squarefree split of f, sorted by descending multiplicity, then
     degree, then coefficients."""
     classes = [EigClass(h, m) for h, m in squarefree_decomposition(f) if h.degree > 0]
-    classes.sort(key=lambda c: (-c.multiplicity, c.factor.degree, c.factor.coeffs))
+    classes.sort(key=_class_key)
     return tuple(classes)
+
+
+def line_eig_classes(g: Graph) -> tuple[EigClass, ...]:
+    """eig_classes(line_char_poly(g)), keyed by g, from the squarefree split
+    of R (degree at most n) alone: x + 2 has multiplicity exactly e in
+    R * (x+2)**e, so it joins the class of multiplicity e."""
+    r, e = _line_spectrum(g)
+    if not e:
+        return eig_classes(r)
+    factors = {c.multiplicity: c.factor for c in eig_classes(r)}
+    factors[e] = factors.get(e, IntPoly.one()) * _X_PLUS_2
+    return tuple(sorted((EigClass(f, k) for k, f in factors.items()), key=_class_key))
 
 
 # ---------------------------------------------------------------------------

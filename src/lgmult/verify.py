@@ -50,9 +50,9 @@ from .spectra import (
     candidate_pairs,
     char_poly,
     cycle_char_poly,
-    eig_classes,
     group_by_order,
     line_char_poly,
+    line_eig_classes,
     multiplicity,
     multiplicity_in_poly,
     numeric_multiplicity,
@@ -225,7 +225,9 @@ def check_graph(
     certifies the first lambda of each order, whose verdict every lambda of
     the order shares (``optimal_certificate`` reads only a % 2 and b).  An
     order where the two sides disagree yields one failure per lambda, and
-    only then is its multiplicity counted.
+    only then is its multiplicity counted.  The classes come from the
+    n x n route of ``line_eig_classes``, so L(G) is never built, and the
+    full polynomial of L(G) only for such an order.
     """
     report = VerificationReport()
     s = summarize(g)
@@ -234,10 +236,9 @@ def check_graph(
     report.graphs_checked = 1
     g6 = to_graph6(g)
     bound = multiplicity_bound(g)
-    line_poly = line_char_poly(g)
 
     at_bound: set[int] = set()
-    for cls in eig_classes(line_poly):
+    for cls in line_eig_classes(g):
         if cls.multiplicity > bound:
             report.bound_violations.append(
                 BoundViolation(g6, cls.factor.coeffs, cls.multiplicity, bound)
@@ -264,7 +265,7 @@ def check_graph(
         report.candidates_checked += len(lams)
         cert = optimal_certificate(g, lams[0], rules)
         if is_optimal(cert) != (n in at_bound):
-            mult = multiplicity_in_poly(line_poly, lams[0])
+            mult = multiplicity_in_poly(line_char_poly(g), lams[0])
             report.equivalence_failures.extend(
                 EquivalenceFailure(g6, lam, _verdict_string(cert), mult, bound)
                 for lam in lams

@@ -90,9 +90,18 @@ def test_usage_errors_exit_two(capsys):
         [1, 2],
         {"case": "path", "lambda": "1/2", "params": {"t": None}},
         {"case": "attached_cycles", "lambda": "2/3", "params": {"multiples": 3}},
+        # truncated by int() before: t = 2.5 built t = 2, true read as 1
+        {"case": "path", "lambda": "1/2", "params": {"t": 2.5}},
+        {"case": "path", "lambda": "1/2", "params": {"t": True}},
+        {"case": "path", "lambda": {"a": 1.7, "b": 2}, "params": {"t": 2}},
+        {"case": "path", "lambda": [1, 2], "params": {"t": 2}, "seed": 0.5},
+        {"case": "attached_cycles", "lambda": "2/3", "params": {"multiples": [1.5]}},
+        {"case": "two_cycles_edge", "params": {"n1": 4, "n2": False}},
     ):
         assert main(["gen", "--spec-json", json.dumps(spec)]) == 2, spec
     assert main(["gen", "--case", "path", "--lambda", "1/2", "--param", "t=[1]"]) == 2
+    assert main(["gen", "--case", "path", "--lambda", "1/2", "--param", "t=2.5"]) == 2
+    assert main(["gen", "--case", "path", "--lambda", "1/2", "--param", "t=true"]) == 2
     capsys.readouterr()
 
 

@@ -5,11 +5,12 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import cycle, path, star
 from lgmult import spectra
 from lgmult.enumeration import enumerate_connected
+from lgmult.families import realize
 from lgmult.graphs import build_graph
 from lgmult.intpoly import IntPoly, divides
 from lgmult.linegraph import line_graph
@@ -23,6 +24,7 @@ from lgmult.spectra import (
     cycle_char_poly,
     eig_classes,
     line_char_poly,
+    line_eig_classes,
     multiplicity,
     multiplicity_in_poly,
     numeric_multiplicity,
@@ -31,6 +33,7 @@ from lgmult.spectra import (
     trig_min_poly,
 )
 from test_graphs import connected_graphs
+from test_verify import CASE_SPECS
 
 P = IntPoly.from_coeffs
 
@@ -97,8 +100,58 @@ def test_char_poly_closed_forms():
 
 def test_line_char_poly():
     assert line_char_poly(build_graph(3, [])) == IntPoly.one()
+    assert line_eig_classes(build_graph(3, [])) == ()
     for g in (path(5), cycle(4), star(3)):
         assert line_char_poly(g) == char_poly(line_graph(g).line)
+
+
+def assert_line_routes_agree(g):
+    """The n x n route of Q - 2I against Faddeev-LeVerrier on A(L(g))."""
+    direct = spectra._char_poly_leverrier(line_graph(g).line) if g.edge_count else IntPoly.one()
+    assert line_char_poly(g) == direct
+    assert line_eig_classes(g) == eig_classes(direct)
+
+
+def test_line_routes_agree_on_small_graphs_and_families():
+    for n in range(1, 8):
+        for g in enumerate_connected(n):
+            assert_line_routes_agree(g)
+    for spec in CASE_SPECS:
+        assert_line_routes_agree(realize(spec))
+
+
+@st.composite
+def graphs_with_bipartite_parts(draw):
+    """Disjoint unions of isolated vertices, trees, even cycles and
+    arbitrary connected graphs, so that m - n < 0 and several factors
+    x + 2 (one per bipartite component) both occur."""
+    edges, n = [], 0
+    for kind in draw(st.lists(st.sampled_from(["vertex", "tree", "even_cycle", "any"]), max_size=4)):
+        if kind == "vertex":
+            k, part = 1, []
+        elif kind == "tree":
+            k = draw(st.integers(2, 6))
+            part = [(draw(st.integers(0, i - 1)), i) for i in range(1, k)]
+        elif kind == "even_cycle":
+            k = 2 * draw(st.integers(2, 3))
+            part = [(i, (i + 1) % k) for i in range(k)]
+        else:
+            g = draw(connected_graphs(max_n=6))
+            k, part = g.vertex_count, list(g.edges)
+        edges += [(u + n, v + n) for u, v in part]
+        n += k
+    return build_graph(n, edges)
+
+
+@settings(max_examples=150)
+@given(graphs_with_bipartite_parts())
+@example(build_graph(0, []))
+@example(build_graph(7, [(0, 1), (1, 2), (3, 4)]))  # m - n = -4, four factors x + 2
+@example(build_graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4)]))
+def test_line_routes_agree_on_disconnected_graphs(g):
+    assert_line_routes_agree(g)
+    r, e = spectra._line_spectrum(g)
+    assert r(-2) != 0 and e >= 0
 
 
 def test_multiplicity_examples():

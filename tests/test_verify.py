@@ -1,6 +1,9 @@
+import sys
+
 import pytest
 
 from conftest import cycle, path, star
+from lgmult import spectra
 from lgmult.certify import DEFAULT_RULES, RecognizerRules, is_optimal, optimal_certificate
 from lgmult.enumeration import enumerate_connected
 from lgmult.families import FamilySpec, realize, two_cycles_edge
@@ -254,3 +257,23 @@ def test_case_specs_attain_the_bound():
         assert multiplicity(line_graph(g).line, spec.eigenvalue) == multiplicity_bound(g)
         tags.add(cert.case_tag)
     assert tags == {"PathCase", "TreeCase", "AttachedCycles", "TwoCyclesEdge", "ManyCycles"}
+
+
+def test_check_graph_never_builds_the_line_graph(monkeypatch):
+    sample = [*_checkable_graphs(7)][::25]
+    sample.append(realize(CASE_SPECS[3]))  # two_cycles_edge, at the bound at 1/3 and 2/3
+    sample.append(build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 3)]))  # optimal at no lambda
+    rule_sets = (DEFAULT_RULES, RecognizerRules(halve_cycle_modulus=True))
+    want = [_without_elapsed(_reference_check_graph(g, rules)) for g in sample for rules in rule_sets]
+    assert want[-2]["passed"] and not want[-2]["equivalence_failures"]
+    assert any(w["equivalence_failures"] for w in want)  # the mutation builds the full polynomial
+
+    def refuse(g):
+        raise AssertionError("check_graph built a line graph")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lgmult") and getattr(module, "line_graph", None) is line_graph:
+            monkeypatch.setattr(module, "line_graph", refuse)
+    spectra._line_spectrum.cache_clear()
+    got = [_without_elapsed(check_graph(g, rules)) for g in sample for rules in rule_sets]
+    assert got == want
