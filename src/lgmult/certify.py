@@ -15,7 +15,7 @@ mis-stated condition.  Production callers use the defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import ClassVar, Union
 
@@ -151,36 +151,14 @@ def is_optimal(cert: OptimalityCertificate) -> bool:
 
 
 def certificate_to_json(cert: OptimalityCertificate) -> dict:
-    out: dict = {
-        "case_tag": cert.case_tag,
-        "lambda": {"a": cert.lam.a, "b": cert.lam.b},
-    }
+    fields = asdict(cert)
+    out: dict = {"case_tag": cert.case_tag, "lambda": fields.pop("lam")}
     if isinstance(cert, NotOptimal):
         out["reason"] = cert.reason
-        return out
-    params: dict = {}
-    if isinstance(cert, PathCase):
-        params = {"i": cert.i, "m": cert.m}
-    elif isinstance(cert, TreeCase):
-        params = {"k": cert.k, "q": cert.q, "pendant_count": cert.pendant_count}
-    elif isinstance(cert, AttachedCycles):
-        params = {
-            "tree_vertices": list(cert.tree_vertices),
-            "cycle_orders": list(cert.cycle_orders),
-            "attachment_pendants": list(cert.attachment_pendants),
-            "c": cert.c,
+    else:
+        out["parameters"] = {
+            k: list(v) if isinstance(v, tuple) else v for k, v in fields.items()
         }
-    elif isinstance(cert, TwoCyclesEdge):
-        params = {"orders": list(cert.orders)}
-    elif isinstance(cert, ManyCycles):
-        params = {
-            "tree_vertices": list(cert.tree_vertices),
-            "cycle_orders": list(cert.cycle_orders),
-            "c": cert.c,
-            "q": cert.q,
-            "k": cert.k,
-        }
-    out["parameters"] = params
     return out
 
 

@@ -79,7 +79,7 @@ def _load_graph(args: argparse.Namespace) -> Graph:
         if len(first) == 2 and all(tok.isdigit() for tok in first):
             return from_edge_text(text)
         return from_graph6(text.strip().splitlines()[0])
-    except (FormatError, OSError, IndexError) as exc:
+    except (FormatError, GraphError, OSError, IndexError) as exc:
         raise UsageError(f"cannot read graph: {exc}") from exc
 
 

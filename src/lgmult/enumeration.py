@@ -1,23 +1,35 @@
-"""Isomorphism-free enumeration of small connected graphs.
+"""Isomorph-free enumeration of small connected graphs by canonical deletion.
 
-Graphs are generated by vertex augmentation: every connected graph on
-n vertices arises from a connected graph on n-1 vertices by adding one
-vertex joined to a nonempty neighbor set, because every connected graph
-has a vertex whose removal keeps it connected.  Duplicates are rejected
-through a canonical form: the lexicographically least adjacency
-bitstring over the leaf orderings of an individualization-refinement
-search, with twin vertices branched only once.
+Every connected graph on n >= 2 vertices has a vertex whose deletion
+keeps it connected (a non-cut vertex).  The generator follows McKay's
+canonical construction path (B. D. McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26 (1998) 306-324): it walks the connected
+graphs on n-1 vertices depth first, joins a new vertex v to every
+nonempty neighbor set of each, and yields the child only if
 
-The same machinery serves the capped generators: deleting a non-cut
-vertex never increases the cyclomatic number, so connected graphs with
-at most ``max_c`` independent cycles are closed under the augmentation
-when the new vertex gets at most ``max_c - c + 1`` neighbors.  Trees
-(``max_c = 0``) refine quickly enough that 13 vertices stay cheap.
+1. v is a canonical deletable vertex: among the non-cut vertices it is
+   least by (degree, sorted neighbor degrees), then by its
+   color-refinement cell, then by its rooted canonical key; and
+2. the child rooted at v is new among the accepted children of this
+   parent.
+
+Isomorphic children that pass (1) have isomorphic parents, and parents
+are pairwise non-isomorphic by induction, so both come from the same
+parent, where (2) keeps one.  Nothing outlives its parent: a level is
+streamed, never held in memory.
+
+Deleting a non-cut vertex never increases the cyclomatic number, so the
+connected graphs with at most ``max_c`` independent cycles are closed
+under canonical deletion, and the capped generators only give the new
+vertex at most ``max_c - c + 1`` neighbors.  Trees are ``max_c = 0``.
+
+Canonical keys come from an individualization-refinement search: the
+lexicographically least adjacency string over the leaf orderings,
+with twin vertices branched only once.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
@@ -27,178 +39,187 @@ MAX_ENUM_VERTICES = 10
 MAX_TREE_VERTICES = 13
 MAX_CAPPED_VERTICES = 11
 
-#: Connected simple graphs per vertex count, used as enumeration fixtures.
-CONNECTED_COUNTS = {
-    1: 1,
-    2: 1,
-    3: 2,
-    4: 6,
-    5: 21,
-    6: 112,
-    7: 853,
-    8: 11117,
-}
 
-#: Isomorphism classes of trees per vertex count.
-TREE_COUNTS = {
-    1: 1,
-    2: 1,
-    3: 1,
-    4: 2,
-    5: 3,
-    6: 6,
-    7: 11,
-    8: 23,
-    9: 47,
-    10: 106,
-    11: 235,
-    12: 551,
-    13: 1301,
-}
-
-#: Connected graphs with exactly one independent cycle, per vertex count.
-UNICYCLIC_COUNTS = {
-    3: 1,
-    4: 2,
-    5: 5,
-    6: 13,
-    7: 33,
-    8: 89,
-    9: 240,
-    10: 657,
-    11: 1806,
-}
-
-
-def _refine(adj: tuple[int, ...], colors: tuple[int, ...]) -> tuple[int, ...]:
-    """Iterate neighbor-multiset color refinement to a fixed point."""
+def _neighbors(adj: tuple[int, ...]) -> list[list[int]]:
+    """Neighbor lists of bitmask rows."""
     n = len(adj)
+    return [[w for w in range(n) if row >> w & 1] for row in adj]
+
+
+def _refine(nbrs: list[list[int]], colors: tuple[int, ...]) -> tuple[int, ...]:
+    """Iterate neighbor-multiset color refinement to a fixed point.
+
+    A vertex's signature packs its color above the multiset of its
+    neighbors' colors, which is held as counts in digits of ``width``
+    bits.  The new colors are ranks of sorted signatures, so they refine
+    the old colors in the same order and do not depend on the labeling;
+    the fixed point is reached when the number of colors stops growing."""
+    n = len(nbrs)
+    width = n.bit_length()
+    classes = len(set(colors))
     while True:
-        signatures = []
-        for v in range(n):
-            mask = adj[v]
-            nb = []
-            while mask:
-                low = mask & -mask
-                nb.append(colors[low.bit_length() - 1])
-                mask ^= low
-            nb.sort()
-            signatures.append((colors[v], tuple(nb)))
-        ranks = {s: i for i, s in enumerate(sorted(set(signatures)))}
-        new = tuple(ranks[s] for s in signatures)
-        if new == colors:
+        digit = [1 << width * c for c in colors]
+        signatures = [
+            sum(map(digit.__getitem__, nb), c << width * n)
+            for c, nb in zip(colors, nbrs)
+        ]
+        distinct = sorted(set(signatures))
+        if len(distinct) == classes:
             return colors
-        colors = new
+        ranks = {s: i for i, s in enumerate(distinct)}
+        colors = tuple([ranks[s] for s in signatures])
+        classes = len(distinct)
 
 
 def _leaf_key(adj: tuple[int, ...], colors: tuple[int, ...]) -> bytes:
-    """Adjacency upper triangle packed under the discrete color order."""
-    n = len(adj)
-    order = sorted(range(n), key=colors.__getitem__)
-    bits = 0
-    count = 0
-    for i in range(n):
-        row = adj[order[i]]
-        for j in range(i + 1, n):
-            bits = (bits << 1) | ((row >> order[j]) & 1)
-            count += 1
-    return bytes([n]) + bits.to_bytes((count + 7) // 8 or 1, "big")
+    """Adjacency upper triangle, a byte per pair, under the discrete
+    color order."""
+    order = sorted(range(len(adj)), key=colors.__getitem__)
+    return bytes([adj[u] >> w & 1 for i, u in enumerate(order) for w in order[i + 1 :]])
 
 
-def canonical_key(g: Graph) -> bytes:
-    """Canonical byte string; equal exactly for isomorphic graphs.
+def _canonical(adj: tuple[int, ...], colors: tuple[int, ...]) -> bytes:
+    """Canonical byte string of a vertex-colored graph given by bitmask
+    rows and colors ranked 0..k-1; equal exactly for color-preserving
+    isomorphic graphs.
 
-    Runs an individualization-refinement search.  The target cell at
-    each node is chosen by cell size then color, which is invariant
-    under relabeling, and every vertex of the cell is branched on, so
-    the set of leaf orderings (and hence the minimum leaf string) is
-    an isomorphism invariant.  Vertices of a cell whose neighborhoods
-    agree off the pair are swapped by an automorphism and explored
-    once.
+    The target cell at each node of the search is chosen by cell size
+    then color, which is invariant under relabeling, and every vertex of
+    the cell is branched on, so the set of leaf orderings (and hence the
+    minimum leaf string) is an isomorphism invariant.  Vertices of a
+    cell whose neighborhoods agree off the pair are swapped by an
+    automorphism and explored once.  Refinement keeps the color order,
+    so every leaf lists the given colors in sorted order; that list
+    heads the key, or an edge colored (0, 0) and (0, 1) would share one.
     """
-    n = g.vertex_count
-    if n == 0:
-        return b"\x00"
-    adj_list = [0] * n
-    for u, v in g.edges:
-        adj_list[u] |= 1 << v
-        adj_list[v] |= 1 << u
-    adj = tuple(adj_list)
-
+    n = len(adj)
+    nbrs = _neighbors(adj)
     best: bytes | None = None
 
     def search(colors: tuple[int, ...]) -> None:
         nonlocal best
-        cells: dict[int, list[int]] = {}
-        for v in range(n):
-            cells.setdefault(colors[v], []).append(v)
-        target = None
-        for color in sorted(cells):
-            cell = cells[color]
-            if len(cell) > 1 and (
-                target is None or len(cell) < len(target)
-            ):
-                target = cell
-        if target is None:
+        sizes = [0] * n
+        for c in colors:
+            sizes[c] += 1
+        split = [(k, c) for c, k in enumerate(sizes) if k > 1]
+        if not split:
             key = _leaf_key(adj, colors)
             if best is None or key < best:
                 best = key
             return
+        cell = min(split)[1]
         reps: list[int] = []
-        for v in target:
-            for u in reps:
-                if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
-                    break
-            else:
+        for v in range(n):
+            if colors[v] == cell and all(
+                adj[u] & ~(1 << v) != adj[v] & ~(1 << u) for u in reps
+            ):
                 reps.append(v)
+        # v moves just above the rest of its cell, later cells up by one
+        shifted = [c + (c > cell) for c in colors]
         for v in reps:
-            bumped = tuple(
-                (colors[w], 1 if w == v else 0) for w in range(n)
-            )
-            ranks = {s: i for i, s in enumerate(sorted(set(bumped)))}
-            search(_refine(adj, tuple(ranks[s] for s in bumped)))
+            shifted[v] = cell + 1
+            search(_refine(nbrs, tuple(shifted)))
+            shifted[v] = cell
 
-    search(_refine(adj, (0,) * n))
-    if best is None:
-        raise AssertionError("canonical search reached no leaf")
-    return best
+    search(_refine(nbrs, colors))
+    return bytes(sorted(colors)) + best
 
 
-def _augment(parent: Graph, sizes: range) -> Iterator[Graph]:
-    """All extensions of parent by one new vertex with a neighbor set."""
-    n = parent.vertex_count
-    for k in sizes:
-        for subset in combinations(range(n), k):
-            edges = list(parent.edges) + [(v, n) for v in subset]
-            yield build_graph(n + 1, edges)
+def canonical_key(g: Graph) -> bytes:
+    """Canonical byte string; equal exactly for isomorphic graphs."""
+    adj = [0] * g.vertex_count
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return _canonical(tuple(adj), (0,) * g.vertex_count)
 
 
-@lru_cache(maxsize=None)
-def _connected_level(n: int) -> tuple[Graph, ...]:
+def _rooted_key(adj: tuple[int, ...], v: int) -> bytes:
+    """Canonical key of the graph with v as its one marked vertex."""
+    return _canonical(adj, tuple(int(w == v) for w in range(len(adj))))
+
+
+def _is_cut(adj: tuple[int, ...], v: int) -> bool:
+    """Whether deleting v disconnects the connected graph adj."""
+    rest = (1 << len(adj)) - 1 & ~(1 << v)
+    seen = frontier = rest & -rest
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = adj[low.bit_length() - 1] & rest & ~seen
+        seen |= new
+        frontier |= new
+    return seen != rest
+
+
+def _deletion_key(adj: tuple[int, ...]) -> bytes | None:
+    """The rooted key at the last vertex v if v is a canonical deletable
+    vertex of the connected graph adj, else None.
+
+    Cut-ness is tested only for vertices whose cheap invariant is at
+    most v's, and rooted keys are computed only for those still tied
+    with v after the refinement cells."""
+    n = len(adj)
+    v = n - 1
+    degs = [row.bit_count() for row in adj]
+
+    def cheap(u: int) -> tuple[int, list[int]]:
+        row = adj[u]
+        return degs[u], sorted([degs[w] for w in range(n) if row >> w & 1])
+
+    mine = cheap(v)
+    ties = []
+    for u in range(v):
+        if degs[u] > degs[v]:
+            continue
+        inv = cheap(u)
+        if inv > mine or (degs[u] > 1 and _is_cut(adj, u)):
+            continue
+        if inv < mine:
+            return None
+        ties.append(u)
+    if ties:
+        cells = _refine(_neighbors(adj), (0,) * n)
+        if any(cells[u] < cells[v] for u in ties):
+            return None
+        ties = [u for u in ties if cells[u] == cells[v]]
+    key = _rooted_key(adj, v)
+    if any(_rooted_key(adj, u) < key for u in ties):
+        return None
+    return key
+
+
+def _level(n: int, max_c: int | None) -> Iterator[tuple[int, ...]]:
+    """Bitmask rows of one graph per isomorphism class of connected
+    graphs on n vertices with cyclomatic number at most max_c (None: no
+    cap), parents walked depth first."""
     if n == 1:
-        return (build_graph(1, []),)
-    found: dict[bytes, Graph] = {}
-    for parent in _connected_level(n - 1):
-        for g in _augment(parent, range(1, n)):
-            key = canonical_key(g)
-            if key not in found:
-                found[key] = g
-    return tuple(found[k] for k in sorted(found))
+        yield (0,)
+        return
+    new = 1 << (n - 1)
+    for parent in _level(n - 1, max_c):
+        top = n - 1
+        if max_c is not None:
+            c = sum(row.bit_count() for row in parent) // 2 - n + 2
+            top = min(top, max_c - c + 1)
+        seen: set[bytes] = set()
+        for k in range(1, top + 1):
+            for subset in combinations(range(n - 1), k):
+                mask = sum(1 << u for u in subset)
+                child = tuple(
+                    row | new if mask >> u & 1 else row for u, row in enumerate(parent)
+                ) + (mask,)
+                key = _deletion_key(child)
+                if key is not None and key not in seen:
+                    seen.add(key)
+                    yield child
 
 
-@lru_cache(maxsize=None)
-def _capped_level(n: int, max_c: int) -> tuple[Graph, ...]:
-    if n == 1:
-        return (build_graph(1, []),)
-    found: dict[bytes, Graph] = {}
-    for parent in _capped_level(n - 1, max_c):
-        c = parent.edge_count - parent.vertex_count + 1
-        top = min(parent.vertex_count, max_c - c + 1)
-        for g in _augment(parent, range(1, top + 1)):
-            key = canonical_key(g)
-            if key not in found:
-                found[key] = g
-    return tuple(found[k] for k in sorted(found))
+def _graph(adj: tuple[int, ...]) -> Graph:
+    return build_graph(
+        len(adj),
+        [(u, w) for u, nb in enumerate(_neighbors(adj)) for w in nb if u < w],
+    )
 
 
 def enumerate_connected(n: int) -> Iterator[Graph]:
@@ -208,7 +229,7 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
             f"built-in enumeration covers 1..{MAX_ENUM_VERTICES} vertices,"
             f" got {n}; ingest a graph6 file for larger orders"
         )
-    yield from _connected_level(n)
+    yield from map(_graph, _level(n, None))
 
 
 def enumerate_trees(n: int) -> Iterator[Graph]:
@@ -217,7 +238,7 @@ def enumerate_trees(n: int) -> Iterator[Graph]:
         raise ValueError(
             f"tree enumeration covers 1..{MAX_TREE_VERTICES} vertices, got {n}"
         )
-    yield from _capped_level(n, 0)
+    yield from map(_graph, _level(n, 0))
 
 
 def enumerate_capped(n: int, max_c: int) -> Iterator[Graph]:
@@ -230,4 +251,4 @@ def enumerate_capped(n: int, max_c: int) -> Iterator[Graph]:
             f"capped enumeration covers 1..{limit} vertices at"
             f" max_c={max_c}, got {n}"
         )
-    yield from _capped_level(n, max_c)
+    yield from map(_graph, _level(n, max_c))

@@ -1,3 +1,4 @@
+import io
 import json
 from pathlib import Path
 
@@ -77,7 +78,7 @@ def test_check_reads_edge_file_and_stdin(capsys, tmp_path, monkeypatch):
     assert code == 0
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(capsys, tmp_path, monkeypatch):
     assert main(["check", "--g6", "Cr", "--g6", "Cr", "--lambda", "x"]) == 2
     assert main(["check", "--lambda", "1/2"]) == 2  # no input source
     assert main(["check", "--g6", "Cr", "--lambda", "5/3"]) == 2  # non-canonical
@@ -102,6 +103,14 @@ def test_usage_errors_exit_two(capsys):
     assert main(["gen", "--case", "path", "--lambda", "1/2", "--param", "t=[1]"]) == 2
     assert main(["gen", "--case", "path", "--lambda", "1/2", "--param", "t=2.5"]) == 2
     assert main(["gen", "--case", "path", "--lambda", "1/2", "--param", "t=true"]) == 2
+    # a loop, a duplicate edge and an endpoint outside 0..n-1
+    for name, text in (("loop", "3 1\n0 0\n"), ("dup", "3 2\n0 1\n1 0\n"), ("range", "2 1\n0 5\n")):
+        path = tmp_path / f"{name}.edges"
+        path.write_text(text)
+        assert main(["mult", "--edges", str(path), "--lambda", "1/2"]) == 2, name
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["check", "--stdin", "--lambda", "1/2"]) == 2, name
+        assert capsys.readouterr().err.startswith("error:"), name
     capsys.readouterr()
 
 

@@ -1,4 +1,5 @@
 import sys
+from functools import lru_cache
 
 import pytest
 
@@ -172,11 +173,13 @@ CASE_SPECS = (
 )
 
 
+@lru_cache(maxsize=None)
 def _checkable_graphs(max_n):
-    for n in range(2, max_n + 1):
-        for g in enumerate_connected(n):
-            if not summarize(g).is_cycle:
-                yield g
+    """The connected non-cycle graphs on 2..max_n vertices, enumerated
+    once for the tests that share them."""
+    return tuple(
+        g for n in range(2, max_n + 1) for g in enumerate_connected(n) if not summarize(g).is_cycle
+    )
 
 
 def _reference_check_graph(g, rules):
