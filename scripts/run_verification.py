@@ -9,7 +9,13 @@ Typical use:
 import argparse
 import sys
 
-from lgmult.enumeration import enumerate_capped, enumerate_trees
+from lgmult.enumeration import (
+    MAX_CAPPED_VERTICES,
+    MAX_ENUM_VERTICES,
+    MAX_TREE_VERTICES,
+    enumerate_capped,
+    enumerate_trees,
+)
 from lgmult.graphs import summarize
 from lgmult.verify import (
     verify_congruence_laws,
@@ -36,6 +42,16 @@ def main() -> int:
     ap.add_argument("--out", help="write the JSON report here")
     ap.add_argument("--table", action="store_true", help="print the summary table")
     args = ap.parse_args()
+    # check every cap before the first sweep starts
+    for flag, value, cap in (
+        ("--max-n", args.max_n, MAX_ENUM_VERTICES),
+        ("--trees-to", args.trees_to, MAX_TREE_VERTICES),
+        ("--low-cycle-to", args.low_cycle_to, MAX_CAPPED_VERTICES),
+    ):
+        if value > cap:
+            ap.error(f"{flag} goes up to {cap} vertices, got {value}")
+    if args.max_n < 2:
+        ap.error(f"--max-n must be at least 2, got {args.max_n}")
 
     report = verify_main_theorem(args.max_n)
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from itertools import combinations
+from math import gcd
 from typing import ClassVar, Union
 
 from .graphs import (
@@ -182,15 +184,35 @@ def cycle_order_modulus(lam: Eigenvalue, rules: RecognizerRules = DEFAULT_RULES)
 # tree-side certificates
 
 
-@lru_cache(maxsize=GRAPH_CACHE_SIZE)
-def _pendant_pair_distances(t: Graph) -> tuple[int, ...]:
+def _tree_facts(t: Graph) -> tuple[int, int, int]:
+    """(p, d0, gap) for a tree with at least one edge: its pendant count,
+    one pendant-pair distance d0, and the gcd of d - d0 over all pendant
+    pairs.  Every pendant-pair distance is w (mod b) exactly when b | gap
+    and d0 = w (mod b)."""
     pend = summarize(t).pendant_vertices
-    out = []
+    ds: list[int] = []
     for idx, u in enumerate(pend):
         dist = bfs_distances(t, u)
-        for v in pend[idx + 1 :]:
-            out.append(dist[v])
-    return tuple(out)
+        ds.extend(dist[v] for v in pend[idx + 1 :])
+    return len(pend), ds[0], gcd(*(d - ds[0] for d in ds))
+
+
+def _tree_rule(
+    tree: tuple[int, int, int], lam: Eigenvalue, rules: RecognizerRules
+) -> OptimalityCertificate:
+    """The path rule at p = 2 (distance m (mod m+1), lambda = (i, m+1)) and
+    the all-pendant-pairs rule at p >= 3 (distance 2q (mod 2q+1), lambda =
+    (2k, 2q+1)), on the (p, d0, gap) of ``_tree_facts``."""
+    p, d0, gap = tree
+    b = lam.b
+    if p > 2 and lam.a % 2:
+        return NotOptimal(lam=lam, reason="lambda-form")
+    shift = rules.path_residue_shift if p == 2 else rules.tree_residue_shift
+    if gap % b or d0 % b != (b - 1 - shift) % b:
+        return NotOptimal(lam=lam, reason="tree-congruence")
+    if p == 2:
+        return PathCase(lam=lam, i=lam.a, m=b - 1)
+    return TreeCase(lam=lam, k=lam.a // 2, q=(b - 1) // 2, pendant_count=p)
 
 
 def path_certificate(
@@ -201,11 +223,7 @@ def path_certificate(
     s = summarize(t)
     if not s.is_path or s.pendant_count != 2:
         raise NotAPath("path certificate needs a path on at least two vertices")
-    m = lam.b - 1
-    (d,) = _pendant_pair_distances(t)
-    if d % (m + 1) == (m - rules.path_residue_shift) % (m + 1):
-        return PathCase(lam=lam, i=lam.a, m=m)
-    return NotOptimal(lam=lam, reason="tree-congruence")
+    return _tree_rule(_shape(t).tree, lam, rules)
 
 
 def tree_certificate(
@@ -216,18 +234,9 @@ def tree_certificate(
     s = summarize(t)
     if not s.connected or s.cyclomatic != 0:
         raise NotATree("tree certificate needs a connected acyclic graph")
-    if t.vertex_count == 1:
-        raise EmptyGraph("single-vertex tree has an empty line graph")
-    if s.pendant_count == 2:
-        return path_certificate(t, lam, rules)
-    if lam.a % 2:
-        return NotOptimal(lam=lam, reason="lambda-form")
-    q = (lam.b - 1) // 2
-    mod = lam.b
-    want = (2 * q - rules.tree_residue_shift) % mod
-    if all(d % mod == want for d in _pendant_pair_distances(t)):
-        return TreeCase(lam=lam, k=lam.a // 2, q=q, pendant_count=s.pendant_count)
-    return NotOptimal(lam=lam, reason="tree-congruence")
+    if t.edge_count == 0:
+        raise EmptyGraph("an edgeless tree has an empty line graph")
+    return _tree_rule(_shape(t).tree, lam, rules)
 
 
 def theorem31_conditions(lt_blocks: BlockStructure, lam: Eigenvalue) -> bool:
@@ -245,12 +254,10 @@ def theorem31_conditions(lt_blocks: BlockStructure, lam: Eigenvalue) -> bool:
         for b in lt_blocks.external_blocks:
             if (min(dist[u] for u in b) + 1) % mod != q:
                 return False
-    majors = lt_blocks.major_blocks
-    for i in range(len(majors)):
-        for j in range(i + 1, len(majors)):
-            if block_block_distance(lt, majors[i], majors[j]) % mod != 2 * q:
-                return False
-    return True
+    return all(
+        block_block_distance(lt, x, y) % mod == 2 * q
+        for x, y in combinations(lt_blocks.major_blocks, 2)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +291,7 @@ class DecompositionFailure:
 
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
-def pendant_cycle_decompose(
-    g: Graph,
-) -> CycleDecomposition | DecompositionFailure:
+def pendant_cycle_decompose(g: Graph) -> CycleDecomposition | DecompositionFailure:
     """Split a connected non-cycle graph with c >= 1 into a remainder tree
     plus pendant cycles joined to distinct tree pendants.
 
@@ -304,16 +309,10 @@ def pendant_cycle_decompose(
         raise GraphError("decomposition needs at least one cycle")
     if s.is_cycle:
         raise IsACycle("a bare cycle does not decompose")
-    blocks = biconnected_blocks(g)
-    cyclic = [b for b in blocks if len(b) >= 3]
-    edge_count_in = {b: 0 for b in cyclic}
+    cyclic = [b for b in biconnected_blocks(g) if len(b) >= 3]
     bset = {b: set(b) for b in cyclic}
-    for u, v in g.edges:
-        for b in cyclic:
-            if u in bset[b] and v in bset[b]:
-                edge_count_in[b] += 1
     for b in cyclic:
-        if edge_count_in[b] > len(b):
+        if sum(u in bset[b] and v in bset[b] for u, v in g.edges) > len(b):
             return DecompositionFailure("cycles-share-vertices")
     # each cyclic block is now a single induced cycle
     attachments = []
@@ -327,8 +326,7 @@ def pendant_cycle_decompose(
         u = majors[0]
         if g.degree(u) != 3:
             return DecompositionFailure("attachment-degree")
-        outside = [w for w in g.adj[u] if w not in bset[b]]
-        attachments.append((b, u, outside[0]))
+        attachments.append((b, u, next(w for w in g.adj[u] if w not in bset[b])))
         covered.update(b)
     remainder = [v for v in range(g.vertex_count) if v not in covered]
     orders = tuple(sorted(len(b) for b, _, _ in attachments))
@@ -340,21 +338,11 @@ def pendant_cycle_decompose(
     if any(y in covered for y in targets):
         return DecompositionFailure("attachment-not-tree-pendant")
     tree, relabel = induced_subgraph(g, remainder)
-    tdeg = tree.degrees()
-    for y in targets:
-        if tdeg[relabel[y]] != 1:
-            return DecompositionFailure("attachment-not-tree-pendant")
+    if any(tree.degree(relabel[y]) != 1 for y in targets):
+        return DecompositionFailure("attachment-not-tree-pendant")
     if len(set(targets)) != len(targets):
         return DecompositionFailure("attachment-collision")
-    att = tuple(
-        CycleAttachment(
-            cycle_vertices=b,
-            order=len(b),
-            joining_edge=(u, y),
-            tree_pendant=y,
-        )
-        for (b, u, y) in attachments
-    )
+    att = tuple(CycleAttachment(b, len(b), (u, y), y) for b, u, y in attachments)
     return CycleDecomposition(tree=tree, tree_map=relabel, attachments=att)
 
 
@@ -362,21 +350,23 @@ def pendant_cycle_decompose(
 # the main dispatch
 
 
-def optimal_certificate(
-    g: Graph, lam: Eigenvalue, rules: RecognizerRules = DEFAULT_RULES
-) -> OptimalityCertificate:
-    """Decide whether (g, lambda) matches one of the five optimal shapes.
+@dataclass(frozen=True)
+class _Shape:
+    """The lambda-free facts of a graph that optimal_certificate reads: c,
+    the "shape:<reason>" of a failed decomposition ("" otherwise), the
+    cycle orders, and (p, d0, gap) of the tree part (G itself when c = 0,
+    None for two cycles joined by an edge)."""
 
-    The case conditions (c = 0, remainder emptiness, the c <= 2 / c >= 3
-    split) are mutually exclusive, so at most one shape matches.
+    c: int
+    failure: str = ""
+    cycle_orders: tuple[int, ...] = ()
+    tree_vertices: tuple[int, ...] = ()
+    attachment_pendants: tuple[int, ...] = ()
+    tree: tuple[int, int, int] | None = None
 
-    The verdict (optimal or not, the case tag, the NotOptimal reason) reads
-    lambda only through a % 2 and b, under any RecognizerRules.  The root
-    order n = Eigenvalue.n fixes both (n odd: a even and b = n; n even: a
-    odd and b = n/2), so every lambda of one order gets the same verdict;
-    ``verify.check_graph`` certifies one lambda per order on that basis.
-    Only the certificate's own parameters (lam, i, k) carry a itself.
-    """
+
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
+def _shape(g: Graph) -> _Shape:
     if g.vertex_count == 0 or g.edge_count == 0:
         raise EmptyGraph("optimality needs a graph with at least one edge")
     s = summarize(g)
@@ -386,44 +376,58 @@ def optimal_certificate(
         raise IsACycle("cycles are outside the characterization")
     c = s.cyclomatic
     if c == 0:
-        return tree_certificate(g, lam, rules)
-    if c >= 3 and lam.a % 2:
-        return NotOptimal(lam=lam, reason="lambda-form")
+        return _Shape(c, tree=_tree_facts(g))
     dec = pendant_cycle_decompose(g)
-    mod = cycle_order_modulus(lam, rules)
     if isinstance(dec, DecompositionFailure):
         if dec.reason != "two-cycles-edge":
-            return NotOptimal(lam=lam, reason=f"shape:{dec.reason}")
-        if any(o % mod for o in dec.cycle_orders):
-            return NotOptimal(lam=lam, reason="cycle-orders")
-        n1, n2 = dec.cycle_orders
-        return TwoCyclesEdge(lam=lam, orders=(n1, n2))
-    orders = tuple(a.order for a in dec.attachments)
-    if any(o % mod for o in orders):
-        return NotOptimal(lam=lam, reason="cycle-orders")
-    tree_cert = tree_certificate(dec.tree, lam, rules)
-    if isinstance(tree_cert, NotOptimal):
-        return NotOptimal(lam=lam, reason="tree-congruence")
-    if summarize(dec.tree).pendant_count < c:
-        return NotOptimal(lam=lam, reason="pendant-deficit")
-    tree_vertices = tuple(sorted(v for v in range(g.vertex_count) if v in dec.tree_map))
-    pendants = tuple(a.tree_pendant for a in dec.attachments)
-    if c <= 2:
-        return AttachedCycles(
-            lam=lam,
-            tree_vertices=tree_vertices,
-            cycle_orders=orders,
-            attachment_pendants=pendants,
-            c=c,
-        )
-    return ManyCycles(
-        lam=lam,
-        tree_vertices=tree_vertices,
-        cycle_orders=orders,
-        c=c,
-        q=(lam.b - 1) // 2,
-        k=lam.a // 2,
+            return _Shape(c, failure=f"shape:{dec.reason}")
+        return _Shape(c, cycle_orders=dec.cycle_orders)
+    return _Shape(
+        c,
+        cycle_orders=tuple(a.order for a in dec.attachments),
+        tree_vertices=tuple(sorted(dec.tree_map)),
+        attachment_pendants=tuple(a.tree_pendant for a in dec.attachments),
+        tree=_tree_facts(dec.tree),
     )
+
+
+def optimal_certificate(
+    g: Graph, lam: Eigenvalue, rules: RecognizerRules = DEFAULT_RULES
+) -> OptimalityCertificate:
+    """Decide whether (g, lambda) matches one of the five optimal shapes.
+
+    The case conditions (c = 0, remainder emptiness, the c <= 2 / c >= 3
+    split) are mutually exclusive, so at most one shape matches.  Everything
+    lambda-free is settled once per graph by ``_shape``; what is left per
+    lambda is a few integer tests.
+
+    The verdict (optimal or not, the case tag, the NotOptimal reason) reads
+    lambda only through a % 2 and b, under any RecognizerRules.  The root
+    order n = Eigenvalue.n fixes both (n odd: a even and b = n; n even: a
+    odd and b = n/2), so every lambda of one order gets the same verdict;
+    ``verify.check_graph`` certifies one lambda per order on that basis.
+    Only the certificate's own parameters (lam, i, k) carry a itself.
+    """
+    sh = _shape(g)
+    c = sh.c
+    if c == 0:
+        return _tree_rule(sh.tree, lam, rules)
+    if c >= 3 and lam.a % 2:
+        return NotOptimal(lam=lam, reason="lambda-form")
+    if sh.failure:
+        return NotOptimal(lam=lam, reason=sh.failure)
+    mod = cycle_order_modulus(lam, rules)
+    if any(o % mod for o in sh.cycle_orders):
+        return NotOptimal(lam=lam, reason="cycle-orders")
+    if sh.tree is None:
+        return TwoCyclesEdge(lam=lam, orders=sh.cycle_orders)
+    if not is_optimal(_tree_rule(sh.tree, lam, rules)):
+        return NotOptimal(lam=lam, reason="tree-congruence")
+    if sh.tree[0] < c:
+        return NotOptimal(lam=lam, reason="pendant-deficit")
+    if c <= 2:
+        return AttachedCycles(lam, sh.tree_vertices, sh.cycle_orders, sh.attachment_pendants, c)
+    return ManyCycles(lam, sh.tree_vertices, sh.cycle_orders, c, (lam.b - 1) // 2, lam.a // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +457,10 @@ def edge_reduction_probe(g: Graph, lam: Eigenvalue) -> ProbeReport:
     s = summarize(g)
     bridges = set(s.bridges)
     degs = g.degrees()
-    edge = None
-    for e in sorted(g.edges):
-        if e in bridges:
-            continue
-        u, v = e
-        if degs[u] >= 3 or degs[v] >= 3:
-            edge = e
-            break
+    edge = next(
+        (e for e in sorted(g.edges) if e not in bridges and max(degs[e[0]], degs[e[1]]) >= 3),
+        None,
+    )
     if edge is None:
         raise NoQualifyingEdge("no cycle edge incident to a major vertex")
     reduced = delete_edge(g, edge)

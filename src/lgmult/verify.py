@@ -16,7 +16,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Any, Callable, Iterable, Sequence
 
 from .certify import (
@@ -29,7 +29,7 @@ from .certify import (
     theorem31_conditions,
     tree_certificate,
 )
-from .enumeration import enumerate_connected, enumerate_trees
+from .enumeration import MAX_ENUM_VERTICES, enumerate_connected, enumerate_trees
 from .graphio import to_graph6
 from .graphs import (
     Graph,
@@ -234,14 +234,14 @@ def check_graph(
     if not s.connected or s.is_cycle or g.edge_count == 0:
         return report
     report.graphs_checked = 1
-    g6 = to_graph6(g)
+    g6 = cache(lambda: to_graph6(g))  # only a recorded failure names g
     bound = multiplicity_bound(g)
 
     at_bound: set[int] = set()
     for cls in line_eig_classes(g):
         if cls.multiplicity > bound:
             report.bound_violations.append(
-                BoundViolation(g6, cls.factor.coeffs, cls.multiplicity, bound)
+                BoundViolation(g6(), cls.factor.coeffs, cls.multiplicity, bound)
             )
         if cls.multiplicity == bound:
             residual = cls.factor
@@ -257,7 +257,7 @@ def check_graph(
             if residual.degree > 0:
                 report.lambda_form_failures.append(
                     LambdaFormFailure(
-                        g6, cls.factor.coeffs, cls.multiplicity, residual.coeffs
+                        g6(), cls.factor.coeffs, cls.multiplicity, residual.coeffs
                     )
                 )
 
@@ -267,7 +267,7 @@ def check_graph(
         if is_optimal(cert) != (n in at_bound):
             mult = multiplicity_in_poly(line_char_poly(g), lams[0])
             report.equivalence_failures.extend(
-                EquivalenceFailure(g6, lam, _verdict_string(cert), mult, bound)
+                EquivalenceFailure(g6(), lam, _verdict_string(cert), mult, bound)
                 for lam in lams
             )
     report.equivalence_failures.sort(key=lambda f: (f.lam.b, f.lam.a))
@@ -323,8 +323,11 @@ def verify_main_theorem(
     stop_after: int | None = None,
 ) -> VerificationReport:
     """Sweep all connected non-cycle graphs on 2..max_n vertices."""
-    if max_n < 2:
-        raise ValueError(f"max_n must be at least 2, got {max_n}")
+    if not (2 <= max_n <= MAX_ENUM_VERTICES):
+        raise ValueError(
+            f"max_n must be in 2..{MAX_ENUM_VERTICES}, got {max_n};"
+            " ingest a graph6 file for larger orders"
+        )
 
     def stream() -> Iterable[Graph]:
         for n in range(2, max_n + 1):

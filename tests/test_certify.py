@@ -1,5 +1,9 @@
+from functools import lru_cache
+from math import gcd
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import cycle, cycle_plus_pendant, path, spider, star
 from lgmult.certify import (
@@ -13,8 +17,10 @@ from lgmult.certify import (
     NotATree,
     NotOptimal,
     PathCase,
+    RecognizerRules,
     TreeCase,
     TwoCyclesEdge,
+    _tree_rule,
     certificate_to_json,
     cycle_order_modulus,
     edge_reduction_probe,
@@ -26,11 +32,13 @@ from lgmult.certify import (
     theorem31_conditions,
     tree_certificate,
 )
-from lgmult.families import make_B, make_theta, two_cycles_edge
-from lgmult.graphs import Disconnected, build_graph, summarize
-from lgmult.linegraph import block_structure, line_graph
+from lgmult.enumeration import enumerate_connected
+from lgmult.families import make_B, make_theta, negative_corpus, realize, two_cycles_edge
+from lgmult.graphs import Disconnected, bfs_distances, build_graph, summarize
+from lgmult.linegraph import EmptyGraph, block_structure, line_graph
 from lgmult.spectra import Eigenvalue, candidate_pairs, multiplicity
 from test_graphs import connected_graphs
+from test_verify import CASE_SPECS, RULE_IDS, RULE_SETS
 
 
 def test_lambda_candidates_sized_by_edge_count():
@@ -70,6 +78,9 @@ def test_tree_certificate_examples():
 
     with pytest.raises(NotATree):
         tree_certificate(cycle(4), Eigenvalue(1, 2))
+    for n in (0, 1):  # no edge, so no line graph to attain a bound
+        with pytest.raises(EmptyGraph):
+            tree_certificate(build_graph(n, []), Eigenvalue(2, 3))
 
 
 def test_theorem31_conditions_examples():
@@ -248,3 +259,121 @@ def test_optimal_graphs_have_no_adjacent_cycle_majors():
             for u, v in g.edges:
                 if u in majors and v in majors:
                     assert (u, v) in bridges
+
+
+# ---------------------------------------------------------------------------
+# the recognizer against a per-call reference
+
+
+@lru_cache(maxsize=None)
+def _all_pendant_pair_distances(t):
+    pend = summarize(t).pendant_vertices
+    return tuple(bfs_distances(t, u)[v] for i, u in enumerate(pend) for v in pend[i + 1 :])
+
+
+def _reference_tree(t, lam, rules):
+    """The tree rule as a scan over every pendant pair, once per lambda."""
+    s = summarize(t)
+    ds = _all_pendant_pair_distances(t)
+    if s.pendant_count == 2:
+        m = lam.b - 1
+        if ds[0] % (m + 1) == (m - rules.path_residue_shift) % (m + 1):
+            return PathCase(lam=lam, i=lam.a, m=m)
+        return NotOptimal(lam=lam, reason="tree-congruence")
+    if lam.a % 2:
+        return NotOptimal(lam=lam, reason="lambda-form")
+    q = (lam.b - 1) // 2
+    want = (2 * q - rules.tree_residue_shift) % lam.b
+    if all(d % lam.b == want for d in ds):
+        return TreeCase(lam=lam, k=lam.a // 2, q=q, pendant_count=s.pendant_count)
+    return NotOptimal(lam=lam, reason="tree-congruence")
+
+
+def _reference_certificate(g, lam, rules):
+    """optimal_certificate with every graph fact looked up again for each
+    lambda, in the fixed checking order."""
+    if g.vertex_count == 0 or g.edge_count == 0:
+        raise EmptyGraph("no edge")
+    s = summarize(g)
+    if not s.connected:
+        raise Disconnected("disconnected")
+    if s.is_cycle:
+        raise IsACycle("cycle")
+    c = s.cyclomatic
+    if c == 0:
+        return _reference_tree(g, lam, rules)
+    if c >= 3 and lam.a % 2:
+        return NotOptimal(lam=lam, reason="lambda-form")
+    dec = pendant_cycle_decompose(g)
+    mod = cycle_order_modulus(lam, rules)
+    if isinstance(dec, DecompositionFailure):
+        if dec.reason != "two-cycles-edge":
+            return NotOptimal(lam=lam, reason=f"shape:{dec.reason}")
+        if any(o % mod for o in dec.cycle_orders):
+            return NotOptimal(lam=lam, reason="cycle-orders")
+        return TwoCyclesEdge(lam=lam, orders=dec.cycle_orders)
+    orders = tuple(a.order for a in dec.attachments)
+    if any(o % mod for o in orders):
+        return NotOptimal(lam=lam, reason="cycle-orders")
+    if not is_optimal(_reference_tree(dec.tree, lam, rules)):
+        return NotOptimal(lam=lam, reason="tree-congruence")
+    if summarize(dec.tree).pendant_count < c:
+        return NotOptimal(lam=lam, reason="pendant-deficit")
+    tree_vertices = tuple(v for v in range(g.vertex_count) if v in dec.tree_map)
+    if c <= 2:
+        pendants = tuple(a.tree_pendant for a in dec.attachments)
+        return AttachedCycles(
+            lam=lam, tree_vertices=tree_vertices, cycle_orders=orders,
+            attachment_pendants=pendants, c=c,
+        )
+    return ManyCycles(
+        lam=lam, tree_vertices=tree_vertices, cycle_orders=orders, c=c,
+        q=(lam.b - 1) // 2, k=lam.a // 2,
+    )
+
+
+def _outcome(fn, *args):
+    """The certificate (equal certificates have the same type, fields and
+    certificate_to_json) or the name of the exception raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the exception type is part of the contract
+        return type(exc).__name__
+
+
+@lru_cache(maxsize=None)
+def _recognizer_corpus():
+    graphs = [g for n in range(1, 8) for g in enumerate_connected(n)]
+    graphs += [realize(spec) for spec in CASE_SPECS]
+    return tuple(graphs + [realize(spec) for spec in negative_corpus(50, 0)])
+
+
+@pytest.mark.parametrize("rules", RULE_SETS, ids=RULE_IDS)
+def test_optimal_certificate_matches_the_per_call_reference(rules):
+    for g in _recognizer_corpus():
+        tree = summarize(g).is_tree and g.edge_count > 0
+        for lam in lambda_candidates(g) or [Eigenvalue(1, 2)]:
+            want = _outcome(_reference_certificate, g, lam, rules)
+            assert _outcome(optimal_certificate, g, lam, rules) == want, (g, lam)
+            if tree:
+                assert _outcome(tree_certificate, g, lam, rules) == want, (g, lam)
+
+
+@given(
+    st.lists(st.integers(0, 60), min_size=1, max_size=12),
+    st.integers(2, 40),
+    st.integers(0, 39),
+    st.booleans(),
+)
+def test_residue_form_matches_the_all_pairs_test(ds, b, w, path_rule):
+    # every d = w (mod b)  <=>  b | gcd(d - d0) and d0 = w (mod b)
+    w %= b
+    if path_rule:
+        lam, rules = Eigenvalue(1, b), RecognizerRules(path_residue_shift=b - 1 - w)
+    else:
+        b += 1 - b % 2  # the tree rule needs lambda = (2k, 2q+1)
+        w %= b
+        lam, rules = Eigenvalue(2, b), RecognizerRules(tree_residue_shift=b - 1 - w)
+    p = 2 if path_rule else 3
+    cert = _tree_rule((p, ds[0], gcd(*(d - ds[0] for d in ds))), lam, rules)
+    assert is_optimal(cert) == all(d % b == w for d in ds)

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -9,7 +12,8 @@ from lgmult.cli import main
 from lgmult.graphio import to_graph6
 from lgmult.graphs import build_graph
 
-SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "lgmult" / "schemas"
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA_DIR = ROOT / "src" / "lgmult" / "schemas"
 
 
 def load_schema(name):
@@ -112,6 +116,29 @@ def test_usage_errors_exit_two(capsys, tmp_path, monkeypatch):
         assert main(["check", "--stdin", "--lambda", "1/2"]) == 2, name
         assert capsys.readouterr().err.startswith("error:"), name
     capsys.readouterr()
+
+
+def test_verify_past_the_enumeration_cap_is_a_usage_error(capsys):
+    assert main(["verify", "--max-n", "11"]) == 2
+    assert "graph6" in capsys.readouterr().err
+
+
+def _run(argv):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, *argv], env=env, cwd=ROOT, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_python_dash_m_runs_the_cli():
+    done = _run(["-m", "lgmult", "check", "--g6", "Cr", "--lambda", "1/2"])
+    assert done.returncode == 2 and done.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("flag", ["--max-n=11", "--max-n=1", "--trees-to=14", "--low-cycle-to=12"])
+def test_verification_script_checks_its_caps_first(flag):
+    done = _run(["scripts/run_verification.py", flag])
+    assert done.returncode == 2 and f"error: {flag.split('=')[0]} " in done.stderr
 
 
 def test_gen_subcommand_round_trip(capsys):

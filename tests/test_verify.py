@@ -4,11 +4,11 @@ from functools import lru_cache
 import pytest
 
 from conftest import cycle, path, star
-from lgmult import spectra
+from lgmult import spectra, verify
 from lgmult.certify import DEFAULT_RULES, RecognizerRules, is_optimal, optimal_certificate
-from lgmult.enumeration import enumerate_connected
+from lgmult.enumeration import MAX_ENUM_VERTICES, enumerate_connected
 from lgmult.families import FamilySpec, realize, two_cycles_edge
-from lgmult.graphio import to_graph6
+from lgmult.graphio import from_graph6, to_graph6
 from lgmult.graphs import build_graph, induced_subgraph, multiplicity_bound, summarize
 from lgmult.intpoly import div_exact, divides
 from lgmult.linegraph import line_graph
@@ -61,6 +61,24 @@ def test_main_theorem_rejects_tiny_range():
         verify_main_theorem(1)
 
 
+def test_main_theorem_checks_the_order_cap_before_sweeping(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"enumerated n = {n} before checking the cap")
+
+    monkeypatch.setattr(verify, "enumerate_connected", refuse)
+    with pytest.raises(ValueError, match="graph6"):
+        verify_main_theorem(MAX_ENUM_VERTICES + 1)
+
+
+def test_check_graph_encodes_graph6_only_for_a_failure(monkeypatch):
+    def refuse(g):
+        raise AssertionError("check_graph encoded a graph that passed")
+
+    monkeypatch.setattr(verify, "to_graph6", refuse)
+    for g in (path(5), star(4), two_cycles_edge(4, 4), *_checkable_graphs(5)):
+        assert check_graph(g).passed
+
+
 def test_verify_graphs_skips_cycles_and_disconnected():
     two_parts = build_graph(4, [(0, 1), (2, 3)])
     report = verify_graphs([cycle(5), two_parts, path(3)])
@@ -82,6 +100,8 @@ def test_mutated_recognizers_are_caught(rules, max_n):
     assert len(report.equivalence_failures) >= 1
     failure = report.equivalence_failures[0]
     assert failure.multiplicity != failure.bound or failure.verdict != "optimal"
+    # the failure names its graph, although check_graph encodes it only then
+    assert to_graph6(from_graph6(failure.graph6)) == failure.graph6
 
 
 def test_unmutated_rules_survive_the_same_range():
