@@ -27,7 +27,6 @@ from .graphs import (
     Graph,
     GraphError,
     bfs_distances,
-    biconnected_blocks,
     delete_edge,
     induced_subgraph,
     multiplicity_bound,
@@ -309,7 +308,7 @@ def pendant_cycle_decompose(g: Graph) -> CycleDecomposition | DecompositionFailu
         raise GraphError("decomposition needs at least one cycle")
     if s.is_cycle:
         raise IsACycle("a bare cycle does not decompose")
-    cyclic = [b for b in biconnected_blocks(g) if len(b) >= 3]
+    cyclic = s.cyclic_blocks
     bset = {b: set(b) for b in cyclic}
     for b in cyclic:
         if sum(u in bset[b] and v in bset[b] for u, v in g.edges) > len(b):

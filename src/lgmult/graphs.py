@@ -109,6 +109,7 @@ class StructureSummary:
     major_vertices: tuple[int, ...]
     bridges: tuple[tuple[int, int], ...]
     cut_vertices: tuple[int, ...]
+    cyclic_blocks: tuple[tuple[int, ...], ...]
     is_cycle: bool
     is_path: bool
     is_tree: bool
@@ -242,7 +243,7 @@ def biconnected_blocks(g: Graph) -> list[tuple[int, ...]]:
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def summarize(g: Graph) -> StructureSummary:
     """Connectivity, cyclomatic number, pendant/major vertices, and the
-    bridges and cut vertices read off the blocks.
+    bridges, cut vertices and cyclic blocks (3+ vertices) read off the blocks.
 
     The cyclomatic number is |E| - |V| + (number of components), which is the
     usual c(G) whenever the graph is connected.  Results are memoized; Graph
@@ -272,6 +273,7 @@ def summarize(g: Graph) -> StructureSummary:
         major_vertices=major,
         bridges=tuple(b for b in blocks if len(b) == 2),
         cut_vertices=tuple(v for v in range(n) if in_blocks[v] >= 2),
+        cyclic_blocks=tuple(b for b in blocks if len(b) >= 3),
         is_cycle=is_cycle,
         is_path=is_path,
         is_tree=is_tree,

@@ -221,17 +221,42 @@ def gcd(f: IntPoly, g: IntPoly) -> IntPoly:
     return a
 
 
+_SQUAREFREE_PRIME = (1 << 30) - 35  # residues fit one digit of a Python int
+
+
+def _coprime_mod(f: IntPoly, g: IntPoly, p: int) -> bool:
+    """Whether gcd(f mod p, g mod p) is 1 in F_p[x], by Euclid on residue lists."""
+    a, b = [c % p for c in f.coeffs], [c % p for c in g.coeffs]
+    while b:
+        if not b[-1]:
+            b.pop()
+            continue
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            q, top = a.pop() * inv % p, len(a) - len(b) + 1
+            for i, c in enumerate(b[:-1]):
+                a[top + i] = (a[top + i] - q * c) % p
+        a, b = b, a
+    return bool(a) and a[0] != 0 and not any(a[1:])
+
+
 def squarefree_decomposition(f: IntPoly) -> list[tuple[IntPoly, int]]:
     """Yun's algorithm: pairs (factor, multiplicity), factors pairwise coprime.
 
     Only factors of positive degree are reported.  For monic input every
     reported factor is monic and the product of factor**multiplicity
     recovers the input.
+
+    A monic f coprime to f' mod a prime p is squarefree, so it is [(f, 1)]
+    without Yun: if d**2 | f, deg d > 0, then d may be taken monic in Z[x]
+    (Gauss) and d | f', so d mod p, monic of degree deg d, divides both.
     """
     if f.is_zero:
         raise ValueError("squarefree decomposition of the zero polynomial")
     if f.degree == 0:
         return []
+    if f.is_monic and _coprime_mod(f, f.derivative(), _SQUAREFREE_PRIME):
+        return [(f, 1)]
     out: list[tuple[IntPoly, int]] = []
     d = gcd(f, f.derivative())
     b = div_exact(f, d)

@@ -33,7 +33,6 @@ from .intpoly import (
     compress_palindrome,
     cyclotomic,
     div_exact,
-    divides,
     squarefree_decomposition,
 )
 
@@ -188,39 +187,39 @@ def cycle_char_poly(k: int) -> IntPoly:
 
 
 def _char_poly_leverrier(g: Graph, diag: Sequence[int] = ()) -> IntPoly:
-    """Characteristic polynomial of X = diag(diag) + A(g), by Faddeev-LeVerrier
-    over plain integers; an empty ``diag`` means the zero diagonal, so the
-    adjacency polynomial.  A is 0/1, so a row of X @ M is a sum of rows of M."""
+    """Characteristic polynomial of X = diag(diag) + A(g) by Faddeev-LeVerrier
+    over plain integers (an empty ``diag`` is the zero diagonal, so A(g)).
+
+    Row i of M is packed into the one integer sum_j M[i][j] * 2**(W*j)
+    (Kronecker substitution), so row i of X @ M, x_ii times row i plus the
+    rows of i's neighbours, costs a few big-int additions.  With
+    rho = max_i (|x_ii| + deg i), |c_j| <= C(n, j) * rho**j bounds every
+    entry of every X @ M by 2**n * rho**n, so W = n + n*bitlen(rho) + 2
+    keeps each below 2**(W-1): digit i of row i, the diagonal entry, then
+    reads off exactly once 2**(W-1) is added to each of digits 0..i.
+    """
     n = g.vertex_count
-    adj = g.adj
     diag = diag or (0,) * n
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rho = max((abs(d) + len(a) for d, a in zip(diag, g.adj)), default=0)
+    width = n + n * rho.bit_length() + 2
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    units = [1 << (width * i) for i in range(n)]
+    offsets = [half * ((u << width) - 1) // mask for u in units]  # half in digits 0..i
+    coeffs, rows = [0] * n + [1], units
     for k in range(1, n + 1):
-        am = []
-        for i in range(n):
-            nbrs = adj[i]
-            if diag[i]:
-                row = [diag[i] * v for v in m[i]]
-            elif nbrs:
-                row, nbrs = list(m[nbrs[0]]), nbrs[1:]
-            else:
-                row = [0] * n
+        new = []
+        for d, row, nbrs in zip(diag, rows, g.adj):
+            acc = d * row
             for w in nbrs:
-                mw = m[w]
-                for j in range(n):
-                    row[j] += mw[j]
-            am.append(row)
-        tr = sum(am[i][i] for i in range(n))
+                acc += rows[w]
+            new.append(acc)
+        reads = zip(new, offsets, range(0, width * n, width))
+        tr = sum(((r + o) >> s) & mask for r, o, s in reads) - n * half
         if tr % k:
             raise AssertionError("trace not divisible in Leverrier step")
         c = -(tr // k)
         coeffs[n - k] = c
-        if k < n:
-            for i in range(n):
-                am[i][i] += c
-            m = am
+        rows = [r + c * u for r, u in zip(new, units)] if c else new
     return IntPoly(tuple(coeffs))
 
 

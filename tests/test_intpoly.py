@@ -1,6 +1,9 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, strategies as st
 
+from lgmult import intpoly, spectra
 from lgmult.intpoly import (
     IntPoly,
     compress_palindrome,
@@ -15,6 +18,7 @@ from lgmult.intpoly import (
     squarefree_decomposition,
     squarefree_part,
 )
+from test_verify import _checkable_graphs
 
 P = IntPoly.from_coeffs
 
@@ -130,6 +134,49 @@ def test_squarefree_part_divides(f):
     assert divides(s, f.primitive())
     # squaring any nontrivial factor of s must leave the squarefree part fixed
     assert squarefree_part(s) == s
+
+
+def _yun(f):
+    """squarefree_decomposition with the mod-p screen switched off."""
+    with mock.patch.object(intpoly, "_coprime_mod", lambda *_: False):
+        return squarefree_decomposition(f)
+
+
+monic_polys = st.lists(st.integers(-4, 4), max_size=4).map(lambda c: P(c + [1]))
+
+
+@given(nonzero_polys)
+def test_screened_split_equals_yun(f):
+    assert squarefree_decomposition(f) == _yun(f)
+
+
+@given(monic_polys, monic_polys)
+def test_screened_split_equals_yun_on_monic_products(f, g):
+    for h in (f * g, f * f * g):
+        assert squarefree_decomposition(h) == _yun(h)
+
+
+def test_screen_settles_the_squarefree_line_spectra_up_to_7_vertices():
+    passed = []
+    screen = intpoly._coprime_mod
+
+    def spy(*args):
+        passed.append(screen(*args))
+        return passed[-1]
+
+    rs = [spectra._line_spectrum(g)[0] for g in _checkable_graphs(7)]
+    with mock.patch.object(intpoly, "_coprime_mod", spy):
+        for r in rs:
+            assert squarefree_decomposition(r) == _yun(r)
+    assert (len(rs), len(passed), sum(passed)) == (990, 990, 607)
+    assert sum(all(m == 1 for _, m in _yun(r)) for r in rs) == 607
+
+
+def test_screen_needs_a_monic_polynomial(monkeypatch):
+    # mod 2, (2x + 1)**2 = 4x^2 + 4x + 1 reduces to 1 and its derivative to
+    # 0, which are coprime; only the monic guard sends it through Yun
+    monkeypatch.setattr(intpoly, "_SQUAREFREE_PRIME", 2)
+    assert squarefree_decomposition(P([1, 4, 4])) == [(P([1, 2]), 2)]
 
 
 def test_poly_json_round_trip():

@@ -98,6 +98,81 @@ def test_char_poly_closed_forms():
             assert cycle_char_poly(k) == spectra._char_poly_leverrier(cycle(k))
 
 
+def _reference_leverrier(g, diag=()):
+    """Faddeev-LeVerrier on X = diag(diag) + A(g) with M kept as a list of
+    row lists, one small-int addition per entry: the loop the packed-row
+    kernel replaced, kept as its reference."""
+    n = g.vertex_count
+    adj = g.adj
+    diag = diag or (0,) * n
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        am = []
+        for i in range(n):
+            nbrs = adj[i]
+            if diag[i]:
+                row = [diag[i] * v for v in m[i]]
+            elif nbrs:
+                row, nbrs = list(m[nbrs[0]]), nbrs[1:]
+            else:
+                row = [0] * n
+            for w in nbrs:
+                mw = m[w]
+                for j in range(n):
+                    row[j] += mw[j]
+            am.append(row)
+        tr = sum(am[i][i] for i in range(n))
+        assert tr % k == 0
+        c = -(tr // k)
+        coeffs[n - k] = c
+        if k < n:
+            for i in range(n):
+                am[i][i] += c
+            m = am
+    return IntPoly(tuple(coeffs))
+
+
+def assert_kernel_matches_reference(g, with_line_graph=False):
+    """The packed-row kernel against the row-list reference on A(g) and
+    Q - 2I, and on A(L(g)) when asked."""
+    for diag in ((), [d - 2 for d in g.degrees()]):
+        assert spectra._char_poly_leverrier(g, diag) == _reference_leverrier(g, diag), diag
+    if with_line_graph:
+        lg = line_graph(g).line
+        assert spectra._char_poly_leverrier(lg) == _reference_leverrier(lg)
+
+
+def test_packed_leverrier_matches_reference_on_small_graphs():
+    for n in range(1, 8):
+        for g in enumerate_connected(n):
+            assert_kernel_matches_reference(g)
+
+
+def test_packed_leverrier_matches_reference_on_families():
+    for spec in CASE_SPECS:
+        assert_kernel_matches_reference(realize(spec), with_line_graph=True)
+
+
+def test_packed_leverrier_near_the_width_bound():
+    # K_n and K_(1,n) have the largest rho = max(|x_ii| + deg i) for their
+    # order, so their entries come closest to 2**n * rho**n
+    for n in range(1, 13):
+        complete = build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        assert_kernel_matches_reference(complete)
+        assert_kernel_matches_reference(star(n))
+
+
+def test_packed_leverrier_past_62_vertices():
+    rng = random.Random(11)
+    n = 70
+    edges = {(i, i + 1) for i in range(n - 1)}
+    edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(30)}
+    g = build_graph(n, sorted(edges))
+    assert_kernel_matches_reference(g)
+
+
 def test_line_char_poly():
     assert line_char_poly(build_graph(3, [])) == IntPoly.one()
     assert line_eig_classes(build_graph(3, [])) == ()
