@@ -24,7 +24,6 @@ from .certify import (
     is_optimal,
     lambda_candidates,
     optimal_certificate,
-    path_certificate,
     theorem31_conditions,
     tree_certificate,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "make_theta",
     "multiplicity",
     "optimal_certificate",
-    "path_certificate",
     "realize",
     "summarize",
     "theorem31_conditions",

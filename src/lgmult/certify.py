@@ -36,10 +36,6 @@ from .linegraph import BlockStructure, EmptyGraph, block_block_distance
 from .spectra import Eigenvalue, candidate_pairs, line_char_poly, multiplicity_in_poly
 
 
-class NotAPath(GraphError):
-    pass
-
-
 class NotATree(GraphError):
     pass
 
@@ -212,17 +208,6 @@ def _tree_rule(
     if p == 2:
         return PathCase(lam=lam, i=lam.a, m=b - 1)
     return TreeCase(lam=lam, k=lam.a // 2, q=(b - 1) // 2, pendant_count=p)
-
-
-def path_certificate(
-    t: Graph, lam: Eigenvalue, rules: RecognizerRules = DEFAULT_RULES
-) -> OptimalityCertificate:
-    """Case decision for paths: pendant distance m (mod m+1) with
-    lambda = (i, m+1)."""
-    s = summarize(t)
-    if not s.is_path or s.pendant_count != 2:
-        raise NotAPath("path certificate needs a path on at least two vertices")
-    return _tree_rule(_shape(t).tree, lam, rules)
 
 
 def tree_certificate(

@@ -1,4 +1,4 @@
-"""Reading and writing graphs: graph6 strings, edge-list text, adjacency JSON.
+"""Reading and writing graphs: graph6 strings and edge-list text.
 
 graph6 is the compact format used by the usual graph-enumeration tools: the
 order n, then the upper triangle of the adjacency matrix in column-major
@@ -10,9 +10,6 @@ output.
 """
 
 from __future__ import annotations
-
-import json
-from typing import Iterable
 
 from .graphs import Graph, GraphError, build_graph
 
@@ -118,43 +115,6 @@ def from_edge_text(text: str) -> Graph:
         except ValueError as exc:
             raise FormatError(f"non-integer edge line {ln!r}") from exc
     return build_graph(n, edges)
-
-
-def to_adjacency_json(g: Graph) -> str:
-    payload = {
-        "vertex_count": g.vertex_count,
-        "adjacency": [list(g.adj[v]) for v in range(g.vertex_count)],
-    }
-    return json.dumps(payload)
-
-
-def from_adjacency_json(text: str) -> Graph:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"bad JSON: {exc}") from exc
-    if not isinstance(payload, dict) or "vertex_count" not in payload or "adjacency" not in payload:
-        raise FormatError("adjacency JSON needs 'vertex_count' and 'adjacency'")
-    n = payload["vertex_count"]
-    adj = payload["adjacency"]
-    if not isinstance(n, int) or not isinstance(adj, list) or len(adj) != n:
-        raise FormatError("adjacency list length must equal vertex_count")
-    edges = []
-    for u, nbrs in enumerate(adj):
-        for v in nbrs:
-            if not isinstance(v, int):
-                raise FormatError(f"non-integer neighbor {v!r}")
-            if u == v:
-                raise FormatError(f"loop at vertex {u}")
-            if not (0 <= v < n) or u not in adj[v]:
-                raise FormatError(f"asymmetric adjacency between {u} and {v}")
-            if u < v:
-                edges.append((u, v))
-    return build_graph(n, edges)
-
-
-def write_graphs_graph6(graphs: Iterable[Graph]) -> str:
-    return "\n".join(to_graph6(g) for g in graphs) + "\n"
 
 
 def read_graphs_graph6(text: str) -> list[Graph]:

@@ -9,7 +9,6 @@ compression that turns a reciprocal polynomial in x into one in x + 1/x.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -274,14 +273,6 @@ def squarefree_decomposition(f: IntPoly) -> list[tuple[IntPoly, int]]:
     return out
 
 
-def squarefree_part(f: IntPoly) -> IntPoly:
-    """Product of the distinct irreducible factors, each once."""
-    part = IntPoly.one()
-    for h, _ in squarefree_decomposition(f):
-        part = part * h
-    return part
-
-
 @lru_cache(maxsize=None)
 def cyclotomic(n: int) -> IntPoly:
     """The n-th cyclotomic polynomial, monic over the integers."""
@@ -318,14 +309,6 @@ def compress_palindrome(f: IntPoly) -> IntPoly:
 def poly_to_json(f: IntPoly) -> list[str]:
     """Ascending coefficients as decimal strings (safe for huge values)."""
     return [str(c) for c in f.coeffs]
-
-
-def poly_from_json(data: list[str]) -> IntPoly:
-    return IntPoly(tuple(int(s) for s in data))
-
-
-def parse_poly_json(text: str) -> IntPoly:
-    return poly_from_json(json.loads(text))
 
 
 def product(polys: Iterator[IntPoly] | Iterable[IntPoly]) -> IntPoly:

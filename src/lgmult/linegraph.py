@@ -126,19 +126,6 @@ def block_structure(lt: Graph) -> BlockStructure:
     )
 
 
-def vertex_block_distance(lt: Graph, v: int, b: tuple[int, ...]) -> int:
-    """min over u in b of d(v, u)."""
-    dist = bfs_distances(lt, v)
-    best = None
-    for u in b:
-        d = dist[u]
-        if d is not None and (best is None or d < best):
-            best = d
-    if best is None:
-        raise GraphError(f"block {b} unreachable from vertex {v}")
-    return best
-
-
 def block_block_distance(lt: Graph, b1: tuple[int, ...], b2: tuple[int, ...]) -> int:
     """min pairwise vertex distance between two distinct blocks."""
     if set(b1) == set(b2):

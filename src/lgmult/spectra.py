@@ -436,8 +436,8 @@ _SCREEN_PRIME_LIMIT = 1 << 31
 _SCREEN_BLOCK_ENTRIES = 1 << 16
 
 
-def _screen_full_rank(g: Graph, cols: list[int], orders: list[int]) -> set[int]:
-    """The orders n at which A[:, cols] - r_n*I has full column rank mod p_n.
+def _screen_full_rank(g: Graph, orders: list[int]) -> set[int]:
+    """The orders n at which A - r_n*I has full rank mod p_n.
 
     Full rank mod p forces full rank over Q(lambda) (the ring map
     Z[y]/(Psi) -> F_p cannot raise rank), hence kernel dimension zero; an
@@ -449,20 +449,21 @@ def _screen_full_rank(g: Graph, cols: list[int], orders: list[int]) -> set[int]:
 
     specs = [(n, *_specialization_mod_p(n)) for n in orders]
     specs = [s for s in specs if s[1] < _SCREEN_PRIME_LIMIT]
-    nrows, ncols = g.vertex_count, len(cols)
-    base = np.zeros((nrows, ncols), dtype=np.int64)
-    for k, j in enumerate(cols):
-        base[list(g.adj[j]), k] = 1
-    step = max(1, _SCREEN_BLOCK_ENTRIES // (nrows * ncols))
+    size = g.vertex_count
+    diag = np.arange(size)
+    base = np.zeros((size, size), dtype=np.int64)
+    for j in range(size):
+        base[list(g.adj[j]), j] = 1
+    step = max(1, _SCREEN_BLOCK_ENTRIES // (size * size))
     certified: set[int] = set()
     for lo in range(0, len(specs), step):
         block = specs[lo : lo + step]
         ids = np.array([n for n, _, _ in block])
         p = np.array([q for _, q, _ in block], dtype=np.int64)
         mats = np.repeat(base[None], len(block), axis=0)
-        mats[:, cols, np.arange(ncols)] -= np.array([r for _, _, r in block])[:, None]
+        mats[:, diag, diag] -= np.array([r for _, _, r in block])[:, None]
         mats %= p[:, None, None]
-        for c in range(ncols):
+        for c in range(size):
             nonzero = mats[:, c:, c] != 0
             found = nonzero.any(axis=1)
             if not found.all():
@@ -524,8 +525,8 @@ def _conjugations(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(out)
 
 
-def _nullity_exact(g: Graph, cols: list[int], n: int) -> int:
-    """Kernel dimension over Q(lambda) of A[:, cols] - lambda*I for the
+def _nullity_exact(g: Graph, n: int) -> int:
+    """Kernel dimension over Q(lambda) of A - lambda*I for the
     eigenvalues of root order n, by fraction-free elimination in
     Z[y]/(Psi_n).
 
@@ -543,12 +544,13 @@ def _nullity_exact(g: Graph, cols: list[int], n: int) -> int:
     zero, one = (0,) * d, (1,) + (0,) * (d - 1)
     # -lambda: -y, or psi[0] when Psi = y + psi[0] has degree one
     minus_lam = (psi[0],) if d == 1 else (0, -1) + (0,) * (d - 2)
+    size = g.vertex_count
     rows = []
-    for i in range(g.vertex_count):
+    for i in range(size):
         nbrs = set(g.adj[i])
-        rows.append([minus_lam if i == j else one if j in nbrs else zero for j in cols])
+        rows.append([minus_lam if i == j else one if j in nbrs else zero for j in range(size)])
     rank = 0
-    for _ in cols:
+    for _ in range(size):
         piv = next((k for k, row in enumerate(rows) if any(row[0])), None)
         if piv is None:
             rows = [row[1:] for row in rows]
@@ -574,43 +576,30 @@ def _nullity_exact(g: Graph, cols: list[int], n: int) -> int:
                 if content > 1:
                     rest = [tuple(c // content for c in e) for e in rest]
             rows[k] = rest
-    return len(cols) - rank
+    return size - rank
 
 
 def annihilator_dimensions(
-    g: Graph,
-    lams: Iterable[Eigenvalue],
-    dropped: Iterable[int] = (),
-    use_screen: bool = True,
+    g: Graph, lams: Iterable[Eigenvalue], *, use_screen: bool = True
 ) -> list[int]:
-    """Kernel dimension over Q(lambda) of the column submatrix of A - lambda*I
-    keeping the columns outside ``dropped``, for each lambda in ``lams``.
+    """Kernel dimension over Q(lambda) of A - lambda*I, that is the
+    eigenvalue multiplicity of lambda, for each lambda in ``lams``,
+    computed without reference to the characteristic polynomial.
 
-    With nothing dropped this equals the eigenvalue multiplicity of lambda,
-    computed without reference to the characteristic polynomial.  The
-    answer depends on lambda only through its root order, so it is computed
-    once per order: a modular screen certifies the frequent full-rank
-    orders together, and every other order goes through exact elimination.
+    The answer depends on lambda only through its root order, so it is
+    computed once per order: a modular screen certifies the frequent
+    full-rank orders together, and every other order goes through exact
+    elimination.
     """
     lams = list(lams)
-    drop = set(dropped)
-    for v in drop:
-        if not (0 <= v < g.vertex_count):
-            raise ValueError(f"dropped vertex {v} out of range")
-    cols = [j for j in range(g.vertex_count) if j not in drop]
-    if not cols:
+    if not g.vertex_count:
         return [0] * len(lams)
     orders = sorted({lam.n for lam in lams})
-    full_rank = _screen_full_rank(g, cols, orders) if use_screen else set()
-    by_order = {n: 0 if n in full_rank else _nullity_exact(g, cols, n) for n in orders}
+    full_rank = _screen_full_rank(g, orders) if use_screen else set()
+    by_order = {n: 0 if n in full_rank else _nullity_exact(g, n) for n in orders}
     return [by_order[lam.n] for lam in lams]
 
 
-def annihilator_dimension(
-    g: Graph,
-    lam: Eigenvalue,
-    dropped: Iterable[int] = (),
-    use_screen: bool = True,
-) -> int:
+def annihilator_dimension(g: Graph, lam: Eigenvalue, *, use_screen: bool = True) -> int:
     """annihilator_dimensions for a single lambda."""
-    return annihilator_dimensions(g, [lam], dropped, use_screen)[0]
+    return annihilator_dimensions(g, [lam], use_screen=use_screen)[0]

@@ -29,11 +29,12 @@ from .certify import (
     theorem31_conditions,
     tree_certificate,
 )
-from .enumeration import MAX_ENUM_VERTICES, enumerate_connected, enumerate_trees
+from .enumeration import MAX_ENUM_VERTICES, MAX_TREE_VERTICES, enumerate_connected, enumerate_trees
 from .graphio import to_graph6
 from .graphs import (
     Graph,
     build_graph,
+    components,
     delete_edge,
     delete_pendant_path,
     induced_subgraph,
@@ -401,7 +402,7 @@ def _check_bridge(
     for u, v in s.bridges:
         cut = delete_edge(g, (u, v))
         for a, b in ((u, v), (v, u)):
-            side_vertices = _component_of(cut, a)
+            side_vertices = next(c for c in components(cut) if a in c)
             side, _ = induced_subgraph(g, side_vertices)
             side_minus, _ = induced_subgraph(
                 g, [w for w in side_vertices if w != a]
@@ -428,18 +429,6 @@ def _check_bridge(
                             "lambda": _lam_json(lam),
                         },
                     )
-
-
-def _component_of(g: Graph, v: int) -> list[int]:
-    seen = {v}
-    queue = [v]
-    while queue:
-        u = queue.pop()
-        for w in g.neighbors(u):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return sorted(seen)
 
 
 def _check_path_absorption(
@@ -549,6 +538,8 @@ def verify_lemmas(
     samples at most 25 candidates so a thousand samples per identity
     stay affordable on one core.
     """
+    if max_n > MAX_ENUM_VERTICES:
+        raise ValueError(f"max_n must be at most {MAX_ENUM_VERTICES}, got {max_n}")
     report = VerificationReport()
     started = time.monotonic()
     rng = random.Random(seed)
@@ -649,6 +640,8 @@ def verify_congruence_laws(
 def verify_block_agreement(max_n: int = 13) -> list[dict[str, Any]]:
     """Compare the line-graph block-distance conditions with the tree
     pendant-pair congruence on every tree with at least three pendants."""
+    if max_n > MAX_TREE_VERTICES:
+        raise ValueError(f"max_n must be at most {MAX_TREE_VERTICES}, got {max_n}")
     failures: list[dict[str, Any]] = []
     for n in range(4, max_n + 1):
         for t in enumerate_trees(n):

@@ -13,7 +13,6 @@ from lgmult.certify import (
     IsACycle,
     ManyCycles,
     NoQualifyingEdge,
-    NotAPath,
     NotATree,
     NotOptimal,
     PathCase,
@@ -27,7 +26,6 @@ from lgmult.certify import (
     is_optimal,
     lambda_candidates,
     optimal_certificate,
-    path_certificate,
     pendant_cycle_decompose,
     theorem31_conditions,
     tree_certificate,
@@ -53,13 +51,11 @@ def test_cycle_order_modulus_parity():
 
 
 def test_path_certificate_examples():
-    cert = path_certificate(path(4), Eigenvalue(1, 2))
+    cert = tree_certificate(path(4), Eigenvalue(1, 2))
     assert isinstance(cert, PathCase) and cert.i == 1 and cert.m == 1
-    assert isinstance(path_certificate(path(4), Eigenvalue(2, 3)), NotOptimal)
-    assert isinstance(path_certificate(path(5), Eigenvalue(1, 4)), NotOptimal)
-    assert isinstance(path_certificate(path(4), Eigenvalue(1, 4)), PathCase)
-    with pytest.raises(NotAPath):
-        path_certificate(star(3), Eigenvalue(1, 2))
+    assert isinstance(tree_certificate(path(4), Eigenvalue(2, 3)), NotOptimal)
+    assert isinstance(tree_certificate(path(5), Eigenvalue(1, 4)), NotOptimal)
+    assert isinstance(tree_certificate(path(4), Eigenvalue(1, 4)), PathCase)
 
 
 def test_tree_certificate_examples():

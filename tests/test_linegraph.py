@@ -5,16 +5,19 @@ from hypothesis import given, settings
 
 from conftest import cycle, path, spider, star
 from lgmult.enumeration import canonical_key, enumerate_trees
-from lgmult.graphs import build_graph, summarize
+from lgmult.graphs import bfs_distances, build_graph, summarize
 from lgmult.linegraph import (
     EmptyGraph,
     NoSecondBlock,
     block_block_distance,
     block_structure,
     line_graph,
-    vertex_block_distance,
 )
 from test_graphs import connected_graphs
+
+
+def vertex_block_distance(lt, v, b):
+    return min(bfs_distances(lt, v)[u] for u in b)
 
 
 def test_line_graph_of_path_and_cycle():

@@ -6,7 +6,7 @@ import pytest
 from conftest import cycle, path, star
 from lgmult import spectra, verify
 from lgmult.certify import DEFAULT_RULES, RecognizerRules, is_optimal, optimal_certificate
-from lgmult.enumeration import MAX_ENUM_VERTICES, enumerate_connected
+from lgmult.enumeration import MAX_ENUM_VERTICES, MAX_TREE_VERTICES, enumerate_connected
 from lgmult.families import FamilySpec, realize, two_cycles_edge
 from lgmult.graphio import from_graph6, to_graph6
 from lgmult.graphs import build_graph, induced_subgraph, multiplicity_bound, summarize
@@ -68,6 +68,22 @@ def test_main_theorem_checks_the_order_cap_before_sweeping(monkeypatch):
     monkeypatch.setattr(verify, "enumerate_connected", refuse)
     with pytest.raises(ValueError, match="graph6"):
         verify_main_theorem(MAX_ENUM_VERTICES + 1)
+
+
+def _refuse(*args):
+    raise AssertionError("checked a graph before checking the cap")
+
+
+def test_lemmas_check_the_order_cap_before_sweeping(monkeypatch):
+    monkeypatch.setattr(verify, "_check_path_deletion", _refuse)
+    with pytest.raises(ValueError, match="max_n"):
+        verify_lemmas(MAX_ENUM_VERTICES + 1, samples=0)
+
+
+def test_block_agreement_checks_the_order_cap_before_sweeping(monkeypatch):
+    monkeypatch.setattr(verify, "block_structure", _refuse)
+    with pytest.raises(ValueError, match="max_n"):
+        verify_block_agreement(MAX_TREE_VERTICES + 1)
 
 
 def test_check_graph_encodes_graph6_only_for_a_failure(monkeypatch):
