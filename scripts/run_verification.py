@@ -13,8 +13,7 @@ from lgmult.enumeration import (
     MAX_CAPPED_VERTICES,
     MAX_ENUM_VERTICES,
     MAX_TREE_VERTICES,
-    enumerate_capped,
-    enumerate_trees,
+    enumerate_connected,
 )
 from lgmult.graphs import summarize
 from lgmult.verify import (
@@ -56,18 +55,15 @@ def main() -> int:
     report = verify_main_theorem(args.max_n)
 
     if args.trees_to > args.max_n:
-        def trees():
-            for n in range(args.max_n + 1, args.trees_to + 1):
-                yield from enumerate_trees(n)
-        report.merge(verify_graphs(trees()))
+        report.merge(verify_graphs(
+            enumerate_connected(args.trees_to, max_c=0, smallest=args.max_n + 1)
+        ))
 
     if args.low_cycle_to > args.max_n:
-        def low_cycle():
-            for n in range(args.max_n + 1, args.low_cycle_to + 1):
-                for g in enumerate_capped(n, 2):
-                    if summarize(g).cyclomatic in (1, 2):
-                        yield g
-        report.merge(verify_graphs(low_cycle()))
+        low_cycle = enumerate_connected(args.low_cycle_to, max_c=2, smallest=args.max_n + 1)
+        report.merge(verify_graphs(
+            g for g in low_cycle if summarize(g).cyclomatic in (1, 2)
+        ))
 
     if args.lemmas:
         report.merge(verify_lemmas(min(args.max_n, 7), args.samples, args.seed))

@@ -27,12 +27,7 @@ from .certify import (
     theorem31_conditions,
     tree_certificate,
 )
-from .enumeration import (
-    canonical_key,
-    enumerate_capped,
-    enumerate_connected,
-    enumerate_trees,
-)
+from .enumeration import canonical_key, enumerate_connected
 from .families import (
     DuplicateAttachment,
     FamilySpec,
@@ -101,9 +96,7 @@ __all__ = [
     "cross_check",
     "edge_reduction_probe",
     "eig_classes",
-    "enumerate_capped",
     "enumerate_connected",
-    "enumerate_trees",
     "from_edge_text",
     "from_graph6",
     "is_optimal",

@@ -15,7 +15,7 @@ import sys
 from typing import Any, Sequence
 
 from .certify import is_optimal, certificate_to_json, optimal_certificate
-from .families import FamilySpec, realize
+from .families import CASE_TAGS, FamilySpec, realize
 from .graphio import (
     FormatError,
     from_edge_text,
@@ -230,10 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("gen", help="generate a family instance")
-    p.add_argument("--case", choices=[
-        "path", "spider", "tree", "attached_cycles", "two_cycles_edge",
-        "B", "theta",
-    ])
+    p.add_argument("--case", choices=CASE_TAGS)
     p.add_argument("--lambda", dest="lam", metavar="A/B")
     p.add_argument("--param", action="append", metavar="KEY=VALUE")
     p.add_argument("--seed", type=int, default=0)
@@ -249,9 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the JSON report to this file")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", default=True)
-    fmt.add_argument("--table", action="store_true")
+    p.add_argument("--table", action="store_true",
+                   help="print the summary table instead of the JSON report")
     p.set_defaults(func=cmd_verify)
 
     return parser

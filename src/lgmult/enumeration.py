@@ -3,9 +3,10 @@
 Every connected graph on n >= 2 vertices has a vertex whose deletion
 keeps it connected (a non-cut vertex).  The generator follows McKay's
 canonical construction path (B. D. McKay, "Isomorph-free exhaustive
-generation", J. Algorithms 26 (1998) 306-324): it walks the connected
-graphs on n-1 vertices depth first, joins a new vertex v to every
-nonempty neighbor set of each, and yields the child only if
+generation", J. Algorithms 26 (1998) 306-324): it walks the tree of
+connected graphs rooted at the one-vertex graph depth first, joins a
+new vertex v to every nonempty neighbor set of each node, and keeps the
+child only if
 
 1. v is a canonical deletable vertex: among the non-cut vertices it is
    least by (degree, sorted neighbor degrees), then by its
@@ -15,13 +16,16 @@ nonempty neighbor set of each, and yields the child only if
 
 Isomorphic children that pass (1) have isomorphic parents, and parents
 are pairwise non-isomorphic by induction, so both come from the same
-parent, where (2) keeps one.  Nothing outlives its parent: a level is
-streamed, never held in memory.
+parent, where (2) keeps one.  One walk gives every order up to n: each
+graph is yielded before its children, so the orders interleave, and
+nothing outlives its parent, so no level is held in memory.
 
 Deleting a non-cut vertex never increases the cyclomatic number, so the
 connected graphs with at most ``max_c`` independent cycles are closed
-under canonical deletion, and the capped generators only give the new
-vertex at most ``max_c - c + 1`` neighbors.  Trees are ``max_c = 0``.
+under canonical deletion, and a capped walk only gives the new vertex
+at most ``max_c - c + 1`` neighbors.  Trees are ``max_c = 0``.  The
+largest order depends on the cap: MAX_ENUM_VERTICES with no cap,
+MAX_TREE_VERTICES for trees and MAX_CAPPED_VERTICES otherwise.
 
 Canonical keys come from an individualization-refinement search: the
 lexicographically least adjacency string over the leaf orderings,
@@ -189,30 +193,31 @@ def _deletion_key(adj: tuple[int, ...]) -> bytes | None:
     return key
 
 
-def _level(n: int, max_c: int | None) -> Iterator[tuple[int, ...]]:
-    """Bitmask rows of one graph per isomorphism class of connected
-    graphs on n vertices with cyclomatic number at most max_c (None: no
-    cap), parents walked depth first."""
-    if n == 1:
-        yield (0,)
+def _walk(parent: tuple[int, ...], n: int, max_c: int | None) -> Iterator[tuple[int, ...]]:
+    """Bitmask rows of parent and of its descendants on at most n
+    vertices in the canonical-deletion tree of connected graphs with
+    cyclomatic number at most max_c (None: no cap), depth first, each
+    graph before its children."""
+    yield parent
+    m = len(parent)
+    if m == n:
         return
-    new = 1 << (n - 1)
-    for parent in _level(n - 1, max_c):
-        top = n - 1
-        if max_c is not None:
-            c = sum(row.bit_count() for row in parent) // 2 - n + 2
-            top = min(top, max_c - c + 1)
-        seen: set[bytes] = set()
-        for k in range(1, top + 1):
-            for subset in combinations(range(n - 1), k):
-                mask = sum(1 << u for u in subset)
-                child = tuple(
-                    row | new if mask >> u & 1 else row for u, row in enumerate(parent)
-                ) + (mask,)
-                key = _deletion_key(child)
-                if key is not None and key not in seen:
-                    seen.add(key)
-                    yield child
+    new = 1 << m
+    top = m
+    if max_c is not None:
+        c = sum(row.bit_count() for row in parent) // 2 - m + 1
+        top = min(top, max_c - c + 1)
+    seen: set[bytes] = set()
+    for k in range(1, top + 1):
+        for subset in combinations(range(m), k):
+            mask = sum(1 << u for u in subset)
+            child = tuple(
+                row | new if mask >> u & 1 else row for u, row in enumerate(parent)
+            ) + (mask,)
+            key = _deletion_key(child)
+            if key is not None and key not in seen:
+                seen.add(key)
+                yield from _walk(child, n, max_c)
 
 
 def _graph(adj: tuple[int, ...]) -> Graph:
@@ -222,33 +227,24 @@ def _graph(adj: tuple[int, ...]) -> Graph:
     )
 
 
-def enumerate_connected(n: int) -> Iterator[Graph]:
-    """One representative per isomorphism class of connected graphs."""
-    if not (1 <= n <= MAX_ENUM_VERTICES):
-        raise ValueError(
-            f"built-in enumeration covers 1..{MAX_ENUM_VERTICES} vertices,"
-            f" got {n}; ingest a graph6 file for larger orders"
-        )
-    yield from map(_graph, _level(n, None))
+def enumerate_connected(
+    n: int, max_c: int | None = None, smallest: int | None = None
+) -> Iterator[Graph]:
+    """One representative per isomorphism class of connected graphs on
+    smallest..n vertices (smallest defaults to n) with cyclomatic number
+    at most max_c (None: no cap; trees are max_c = 0).
 
-
-def enumerate_trees(n: int) -> Iterator[Graph]:
-    """One representative per isomorphism class of trees."""
-    if not (1 <= n <= MAX_TREE_VERTICES):
-        raise ValueError(
-            f"tree enumeration covers 1..{MAX_TREE_VERTICES} vertices, got {n}"
-        )
-    yield from map(_graph, _level(n, 0))
-
-
-def enumerate_capped(n: int, max_c: int) -> Iterator[Graph]:
-    """Connected graphs with cyclomatic number at most max_c."""
-    if max_c < 0:
+    The graphs come in walk order: the orders interleave, and a graph
+    comes after its parent, the graph without its last vertex.  An empty
+    range, smallest > n, yields nothing whatever n is."""
+    if max_c is not None and max_c < 0:
         raise ValueError(f"max_c must be nonnegative, got {max_c}")
-    limit = MAX_TREE_VERTICES if max_c == 0 else MAX_CAPPED_VERTICES
+    smallest = n if smallest is None else smallest
+    if smallest > n:
+        return
+    limit = {None: MAX_ENUM_VERTICES, 0: MAX_TREE_VERTICES}.get(max_c, MAX_CAPPED_VERTICES)
     if not (1 <= n <= limit):
-        raise ValueError(
-            f"capped enumeration covers 1..{limit} vertices at"
-            f" max_c={max_c}, got {n}"
-        )
-    yield from map(_graph, _level(n, max_c))
+        raise ValueError(f"enumeration covers 1..{limit} vertices at max_c={max_c}, got {n}")
+    for adj in _walk((0,), n, max_c):
+        if len(adj) >= smallest:
+            yield _graph(adj)

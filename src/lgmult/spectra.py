@@ -579,9 +579,7 @@ def _nullity_exact(g: Graph, n: int) -> int:
     return size - rank
 
 
-def annihilator_dimensions(
-    g: Graph, lams: Iterable[Eigenvalue], *, use_screen: bool = True
-) -> list[int]:
+def annihilator_dimensions(g: Graph, lams: Iterable[Eigenvalue]) -> list[int]:
     """Kernel dimension over Q(lambda) of A - lambda*I, that is the
     eigenvalue multiplicity of lambda, for each lambda in ``lams``,
     computed without reference to the characteristic polynomial.
@@ -595,11 +593,11 @@ def annihilator_dimensions(
     if not g.vertex_count:
         return [0] * len(lams)
     orders = sorted({lam.n for lam in lams})
-    full_rank = _screen_full_rank(g, orders) if use_screen else set()
+    full_rank = _screen_full_rank(g, orders)
     by_order = {n: 0 if n in full_rank else _nullity_exact(g, n) for n in orders}
     return [by_order[lam.n] for lam in lams]
 
 
-def annihilator_dimension(g: Graph, lam: Eigenvalue, *, use_screen: bool = True) -> int:
+def annihilator_dimension(g: Graph, lam: Eigenvalue) -> int:
     """annihilator_dimensions for a single lambda."""
-    return annihilator_dimensions(g, [lam], use_screen=use_screen)[0]
+    return annihilator_dimensions(g, [lam])[0]

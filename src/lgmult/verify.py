@@ -29,7 +29,7 @@ from .certify import (
     theorem31_conditions,
     tree_certificate,
 )
-from .enumeration import MAX_ENUM_VERTICES, MAX_TREE_VERTICES, enumerate_connected, enumerate_trees
+from .enumeration import MAX_ENUM_VERTICES, MAX_TREE_VERTICES, enumerate_connected
 from .graphio import to_graph6
 from .graphs import (
     Graph,
@@ -329,12 +329,7 @@ def verify_main_theorem(
             f"max_n must be in 2..{MAX_ENUM_VERTICES}, got {max_n};"
             " ingest a graph6 file for larger orders"
         )
-
-    def stream() -> Iterable[Graph]:
-        for n in range(2, max_n + 1):
-            yield from enumerate_connected(n)
-
-    return verify_graphs(stream(), rules, stop_after)
+    return verify_graphs(enumerate_connected(max_n, smallest=2), rules, stop_after)
 
 
 # ---------------------------------------------------------------------------
@@ -545,21 +540,18 @@ def verify_lemmas(
     rng = random.Random(seed)
     small_pool = [lam for lam in candidate_pairs(6) if lam.b <= 6]
 
-    for n in range(2, max_n + 1):
-        for g in enumerate_connected(n):
-            lams = candidate_pairs(g.edge_count)
-            _check_path_deletion(report, g, lams)
-            _check_probe_equivalence(report, g, lams)
-            report.graphs_checked += 1
-    for n in range(2, min(max_n, 6) + 1):
-        for g in enumerate_connected(n):
+    for g in enumerate_connected(max_n, smallest=2):
+        lams = candidate_pairs(g.edge_count)
+        _check_path_deletion(report, g, lams)
+        _check_probe_equivalence(report, g, lams)
+        report.graphs_checked += 1
+        if g.vertex_count <= 6:
             _check_bridge(report, g, small_pool)
-    for n in range(2, min(max_n, 5) + 1):
-        for h in enumerate_connected(n):
-            for w in range(h.vertex_count):
+        if g.vertex_count <= 5:
+            for w in range(g.vertex_count):
                 for lam in small_pool:
                     if lam.b <= 4:
-                        _check_path_absorption(report, h, w, 1, lam)
+                        _check_path_absorption(report, g, w, 1, lam)
 
     for _ in range(samples):
         g = _random_connected(rng, rng.randint(4, 9), rng.randint(0, 2))
@@ -643,25 +635,24 @@ def verify_block_agreement(max_n: int = 13) -> list[dict[str, Any]]:
     if max_n > MAX_TREE_VERTICES:
         raise ValueError(f"max_n must be at most {MAX_TREE_VERTICES}, got {max_n}")
     failures: list[dict[str, Any]] = []
-    for n in range(4, max_n + 1):
-        for t in enumerate_trees(n):
-            if summarize(t).pendant_count < 3:
+    for t in enumerate_connected(max_n, max_c=0, smallest=4):
+        if summarize(t).pendant_count < 3:
+            continue
+        blocks = block_structure(line_graph(t).line)
+        for lam in candidate_pairs(t.edge_count):
+            if lam.a % 2 or lam.b % 2 == 0:
                 continue
-            blocks = block_structure(line_graph(t).line)
-            for lam in candidate_pairs(t.edge_count):
-                if lam.a % 2 or lam.b % 2 == 0:
-                    continue
-                via_blocks = theorem31_conditions(blocks, lam)
-                via_pendants = is_optimal(tree_certificate(t, lam))
-                if via_blocks != via_pendants:
-                    failures.append(
-                        {
-                            "graph6": to_graph6(t),
-                            "lambda": _lam_json(lam),
-                            "block_conditions": via_blocks,
-                            "pendant_congruence": via_pendants,
-                        }
-                    )
+            via_blocks = theorem31_conditions(blocks, lam)
+            via_pendants = is_optimal(tree_certificate(t, lam))
+            if via_blocks != via_pendants:
+                failures.append(
+                    {
+                        "graph6": to_graph6(t),
+                        "lambda": _lam_json(lam),
+                        "block_conditions": via_blocks,
+                        "pendant_congruence": via_pendants,
+                    }
+                )
     return failures
 
 

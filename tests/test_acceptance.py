@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from lgmult.certify import RecognizerRules, is_optimal, lambda_candidates, optimal_certificate
-from lgmult.enumeration import enumerate_capped, enumerate_connected, enumerate_trees
+from lgmult.enumeration import enumerate_connected
 from lgmult.families import negative_corpus, positive_corpus, realize
 from lgmult.graphs import summarize
 from lgmult.linegraph import line_graph
@@ -60,20 +60,13 @@ def test_criterion_1_bound(full_sweep):
 def test_criterion_2_equivalence(full_sweep):
     ok = full_sweep.equivalence_failures == []
 
-    def tree_stream():
-        for n in range(9, 14):
-            yield from enumerate_trees(n)
-
-    tree_report = verify_graphs(tree_stream())
+    tree_report = verify_graphs(enumerate_connected(13, max_c=0, smallest=9))
     ok = ok and tree_report.passed
 
-    def low_cycle_stream():
-        for n in range(9, 12):
-            for g in enumerate_capped(n, 2):
-                if summarize(g).cyclomatic in (1, 2):
-                    yield g
-
-    low_cycle_report = verify_graphs(low_cycle_stream())
+    low_cycle_stream = (
+        g for g in enumerate_connected(11, max_c=2, smallest=9) if summarize(g).cyclomatic in (1, 2)
+    )
+    low_cycle_report = verify_graphs(low_cycle_stream)
     ok = ok and low_cycle_report.passed
     announce("2 certificate equivalence, plus trees n <= 13 and c <= 2 graphs n <= 11", ok)
 
@@ -90,9 +83,8 @@ def test_criterion_4_lemma_suite():
 
 def test_criterion_5_oracle_agreement():
     disagreements = 0
-    for n in range(2, 9):
-        for g in enumerate_connected(n):
-            disagreements += len(cross_check_detail(g))
+    for g in enumerate_connected(8, smallest=2):
+        disagreements += len(cross_check_detail(g))
     announce("5 polynomial, nullity, and numeric multiplicities agree", disagreements == 0)
 
 

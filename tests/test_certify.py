@@ -235,26 +235,23 @@ def test_probe_requires_qualifying_edge():
 def test_optimal_graphs_have_no_adjacent_cycle_majors():
     # in every optimal graph with c >= 1, major vertices on a common cycle
     # are pairwise non-adjacent
-    from lgmult.enumeration import enumerate_connected
-
-    for n in range(4, 8):
-        for g in enumerate_connected(n):
-            s = summarize(g)
-            if s.is_cycle or s.cyclomatic < 1:
-                continue
-            hit = None
-            for lam in lambda_candidates(g):
-                cert = optimal_certificate(g, lam)
-                if is_optimal(cert):
-                    hit = lam
-                    break
-            if hit is None:
-                continue
-            majors = set(s.major_vertices)
-            bridges = set(s.bridges)
-            for u, v in g.edges:
-                if u in majors and v in majors:
-                    assert (u, v) in bridges
+    for g in enumerate_connected(7, smallest=4):
+        s = summarize(g)
+        if s.is_cycle or s.cyclomatic < 1:
+            continue
+        hit = None
+        for lam in lambda_candidates(g):
+            cert = optimal_certificate(g, lam)
+            if is_optimal(cert):
+                hit = lam
+                break
+        if hit is None:
+            continue
+        majors = set(s.major_vertices)
+        bridges = set(s.bridges)
+        for u, v in g.edges:
+            if u in majors and v in majors:
+                assert (u, v) in bridges
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +336,7 @@ def _outcome(fn, *args):
 
 @lru_cache(maxsize=None)
 def _recognizer_corpus():
-    graphs = [g for n in range(1, 8) for g in enumerate_connected(n)]
+    graphs = list(enumerate_connected(7, smallest=1))
     graphs += [realize(spec) for spec in CASE_SPECS]
     return tuple(graphs + [realize(spec) for spec in negative_corpus(50, 0)])
 

@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 from lgmult.cli import main
+from lgmult.families import CASE_TAGS
 from lgmult.graphio import to_graph6
 from lgmult.graphs import build_graph
 
@@ -115,6 +116,19 @@ def test_usage_errors_exit_two(capsys, tmp_path, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         assert main(["check", "--stdin", "--lambda", "1/2"]) == 2, name
         assert capsys.readouterr().err.startswith("error:"), name
+    capsys.readouterr()
+
+
+def test_gen_cases_are_the_family_cases_and_verify_has_no_json_flag(capsys):
+    for case in CASE_TAGS:
+        # argparse takes the case; the bad spec is refused after parsing
+        assert main(["gen", "--case", case, "--spec-json", "[]"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--case", "no_such_case"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--max-n", "3", "--json"])
+    assert exc.value.code == 2
     capsys.readouterr()
 
 

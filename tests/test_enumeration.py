@@ -1,3 +1,5 @@
+from collections import Counter
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
@@ -10,9 +12,7 @@ from lgmult.enumeration import (
     _deletion_key,
     _rooted_key,
     canonical_key,
-    enumerate_capped,
     enumerate_connected,
-    enumerate_trees,
 )
 from lgmult.graphs import Graph, build_graph, summarize
 
@@ -43,13 +43,35 @@ def rows(g):
     return tuple(adj)
 
 
+# connected graphs on 1..8 vertices (OEIS A001349)
+CONNECTED = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+# connected unicyclic graphs on 3..9 vertices (OEIS A001429)
+UNICYCLIC = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240}
+
+
+@lru_cache(maxsize=None)
+def walk(top, max_c=None):
+    """Every graph of one walk over the orders 1..top."""
+    return tuple(enumerate_connected(top, max_c, smallest=1))
+
+
+@lru_cache(maxsize=None)
+def walk_counts(top, max_c=None, cyclomatic=None):
+    """Graphs per order in one walk, those with the given cyclomatic
+    number only if one is given."""
+    return Counter(
+        g.vertex_count for g in walk(top, max_c)
+        if cyclomatic is None or summarize(g).cyclomatic == cyclomatic
+    )
+
+
 @pytest.mark.parametrize(
     "n,count",
     [(1, 1), (2, 1), (3, 2), (4, 6), (5, 21), (6, 112), (7, 853)],
 )
 def test_connected_counts(n, count):
     graphs = list(enumerate_connected(n))
-    assert len(graphs) == count
+    assert len(graphs) == count == walk_counts(8)[n]
     assert all(summarize(g).connected for g in graphs)
 
 
@@ -58,8 +80,8 @@ def test_connected_counts(n, count):
     [(1, 1), (2, 1), (3, 1), (4, 2), (5, 3), (6, 6), (7, 11), (8, 23), (9, 47), (10, 106), (11, 235), (12, 551), (13, 1301)],
 )
 def test_tree_counts(n, count):
-    trees = list(enumerate_trees(n))
-    assert len(trees) == count == OTTER[n]
+    trees = list(enumerate_connected(n, max_c=0))
+    assert len(trees) == count == OTTER[n] == walk_counts(13, 0)[n]
     assert all(summarize(t).is_tree for t in trees)
 
 
@@ -68,38 +90,61 @@ def test_tree_counts(n, count):
     [(3, 1), (4, 2), (5, 5), (6, 13), (7, 33), (8, 89), (9, 240)],
 )
 def test_unicyclic_counts(n, count):
-    unicyclic = [g for g in enumerate_capped(n, 1) if summarize(g).cyclomatic == 1]
-    assert len(unicyclic) == count
+    unicyclic = [g for g in enumerate_connected(n, max_c=1) if summarize(g).cyclomatic == 1]
+    assert len(unicyclic) == count == walk_counts(9, 1, 1)[n]
+
+
+def test_one_walk_counts_every_order():
+    assert walk_counts(8) == CONNECTED
+    assert all(summarize(g).connected for g in walk(8))
+    assert walk_counts(13, 0) == OTTER
+    assert all(summarize(t).is_tree for t in walk(13, 0))
+    assert walk_counts(9, 1, 1) == UNICYCLIC
 
 
 def test_capped_matches_full_enumeration():
-    for n in range(1, 8):
-        full = {canonical_key(g) for g in enumerate_connected(n) if summarize(g).cyclomatic <= 2}
-        capped = {canonical_key(g) for g in enumerate_capped(n, 2)}
-        assert capped == full
+    full = {canonical_key(g) for g in walk(7) if summarize(g).cyclomatic <= 2}
+    assert {canonical_key(g) for g in walk(7, 2)} == full
+
+
+CAPS = (None, 0, 1, 2)
 
 
 def test_no_isomorphic_duplicates():
-    for n in range(1, 8):
-        for graphs in (
-            enumerate_connected(n),
-            enumerate_trees(n),
-            enumerate_capped(n, 1),
-            enumerate_capped(n, 2),
-        ):
-            keys = [canonical_key(g) for g in graphs]
-            assert len(keys) == len(set(keys))
+    # across a whole multi-order stream, not just within one order
+    for max_c in CAPS:
+        keys = [canonical_key(g) for g in walk(7, max_c)]
+        assert len(keys) == len(set(keys))
+
+
+def test_each_graph_follows_its_parent():
+    for max_c in CAPS:
+        seen = set()
+        for g in walk(7, max_c):
+            n = g.vertex_count
+            parent = tuple(e for e in g.edges if n - 1 not in e)
+            assert n == 1 or (n - 1, parent) in seen
+            seen.add((n, g.edges))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_each_order_of_a_walk_is_the_single_order_call(n):
+    for max_c in CAPS:
+        alone = {canonical_key(g) for g in enumerate_connected(n, max_c)}
+        assert alone == {canonical_key(g) for g in walk(7, max_c) if g.vertex_count == n}
 
 
 def test_range_guards():
+    assert list(enumerate_connected(3, smallest=4)) == []
+    assert list(enumerate_connected(12, max_c=0, smallest=13)) == []
     with pytest.raises(ValueError):
         list(enumerate_connected(0))
     with pytest.raises(ValueError):
-        list(enumerate_trees(0))
-    with pytest.raises(ValueError):
-        list(enumerate_capped(3, -1))
-    with pytest.raises(ValueError):
-        list(enumerate_capped(0, 1))
+        list(enumerate_connected(3, max_c=-1))
+    for max_c, cap in ((None, 10), (0, 13), (1, 11), (2, 11)):
+        with pytest.raises(ValueError):
+            list(enumerate_connected(cap + 1, max_c))
+        assert len(list(enumerate_connected(1, max_c))) == 1
 
 
 def test_canonical_key_separates_same_size_graphs():

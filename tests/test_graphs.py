@@ -62,7 +62,7 @@ def test_bridges_and_cut_vertices_match_deletion():
         build_graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)]),
         build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 1), (4, 5)]),
     ]
-    graphs = [g for n in range(1, 8) for g in enumerate_connected(n)] + disconnected
+    graphs = list(enumerate_connected(7, smallest=1)) + disconnected
     for g in graphs:
         s = summarize(g)
         base = len(components(g))

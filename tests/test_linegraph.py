@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import cycle, path, spider, star
-from lgmult.enumeration import canonical_key, enumerate_trees
+from lgmult.enumeration import canonical_key, enumerate_connected
 from lgmult.graphs import bfs_distances, build_graph, summarize
 from lgmult.linegraph import (
     EmptyGraph,
@@ -113,17 +113,16 @@ def test_tree_line_graph_block_laws():
     # external vertices biject with pendant edges (= pendant vertices once
     # n >= 3; P_2 has two pendant vertices sharing its single pendant edge)
     assert len(block_structure(line_graph(path(2)).line).external_vertices) == 1
-    for n in range(3, 11):
-        for t in enumerate_trees(n):
-            lt = line_graph(t).line
-            bs = block_structure(lt)
-            for b in bs.blocks:
-                for i, u in enumerate(b):
-                    for v in b[i + 1 :]:
-                        assert lt.has_edge(u, v)
-            for cut in summarize(lt).cut_vertices:
-                assert sum(1 for b in bs.blocks if cut in b) == 2
-            assert len(bs.external_vertices) == summarize(t).pendant_count
+    for t in enumerate_connected(10, max_c=0, smallest=3):
+        lt = line_graph(t).line
+        bs = block_structure(lt)
+        for b in bs.blocks:
+            for i, u in enumerate(b):
+                for v in b[i + 1 :]:
+                    assert lt.has_edge(u, v)
+        for cut in summarize(lt).cut_vertices:
+            assert sum(1 for b in bs.blocks if cut in b) == 2
+        assert len(bs.external_vertices) == summarize(t).pendant_count
 
 
 @settings(max_examples=60)

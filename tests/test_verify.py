@@ -62,7 +62,7 @@ def test_main_theorem_rejects_tiny_range():
 
 
 def test_main_theorem_checks_the_order_cap_before_sweeping(monkeypatch):
-    def refuse(n):
+    def refuse(n, **kwargs):
         raise AssertionError(f"enumerated n = {n} before checking the cap")
 
     monkeypatch.setattr(verify, "enumerate_connected", refuse)
@@ -213,9 +213,7 @@ CASE_SPECS = (
 def _checkable_graphs(max_n):
     """The connected non-cycle graphs on 2..max_n vertices, enumerated
     once for the tests that share them."""
-    return tuple(
-        g for n in range(2, max_n + 1) for g in enumerate_connected(n) if not summarize(g).is_cycle
-    )
+    return tuple(g for g in enumerate_connected(max_n, smallest=2) if not summarize(g).is_cycle)
 
 
 def _reference_check_graph(g, rules):
