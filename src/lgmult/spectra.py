@@ -41,21 +41,22 @@ class NonCanonical(ValueError):
     """Eigenvalue parameters outside the canonical range (coprime, 1 <= a < b)."""
 
 
-# Euler's phi of 0..len-1 by sieve, regrown (at least doubled) on demand
-_PHI: list[int] = [0, 1]
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
 
 
-def _totients(limit: int) -> list[int]:
-    """Euler's phi for every integer up to at least limit."""
-    if len(_PHI) <= limit:
-        size = max(limit + 1, 2 * len(_PHI))
-        phi = list(range(size))
-        for p in range(2, size):
-            if phi[p] == p:  # p prime
-                for k in range(p, size, p):
-                    phi[k] -= phi[k] // p
-        _PHI[:] = phi
-    return _PHI
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,9 @@ class Eigenvalue:
 
     @property
     def degree(self) -> int:
-        return _totients(self.n)[self.n] // 2
+        """phi(n)/2, the degree of the minimal polynomial."""
+        ps = _prime_factors(self.n)
+        return self.n // math.prod(ps) * math.prod(p - 1 for p in ps) // 2
 
     @property
     def numeric(self) -> float:
@@ -118,48 +121,54 @@ def trig_min_poly(a: int, b: int) -> IntPoly:
 
 
 @lru_cache(maxsize=None)
-def candidate_pairs(max_degree: int) -> tuple[Eigenvalue, ...]:
-    """All canonical eigenvalues whose minimal polynomial has degree
-    at most max_degree, sorted by (b, a).
-
-    Enumerated through the root-of-unity order n: the eigenvalues with
-    minimal polynomial of degree phi(n)/2 are 2*cos(2*pi*k/n) for k coprime
-    to n, and reducing 2k/n gives back the canonical a/b.  Since
-    phi(n) >= sqrt(n/2), orders beyond 8*max_degree^2 cannot qualify.
-    """
-    if max_degree < 1:
-        return ()
-    limit = 8 * max_degree * max_degree + 2
-    phi = _totients(limit)
-    out: list[Eigenvalue] = []
-    for n in range(3, limit + 1):
-        if phi[n] // 2 > max_degree:
-            continue
-        for k in range(1, (n + 1) // 2):
-            if math.gcd(k, n) == 1:
-                g = math.gcd(2 * k, n)
-                out.append(Eigenvalue((2 * k) // g, n // g))
-    out.sort(key=lambda e: (e.b, e.a))
-    return tuple(out)
+def _order_lambdas(n: int) -> tuple[Eigenvalue, ...]:
+    """The eigenvalues 2*cos(2*pi*k/n) of root order n, for k coprime to n
+    with 1 <= k < n/2, by increasing a: (2k, n) for odd n and (k, n/2)
+    for even n (k is then odd)."""
+    g = 2 - n % 2  # gcd(2k, n)
+    ks = range(1, (n + 1) // 2)
+    return tuple(Eigenvalue(2 * k // g, n // g) for k in ks if math.gcd(k, n) == 1)
 
 
-def group_by_order(
-    lams: Iterable[Eigenvalue],
-) -> tuple[tuple[int, tuple[Eigenvalue, ...]], ...]:
-    """The eigenvalues grouped by root order n, one (n, group) entry per
-    order in order of first appearance, each group in input order."""
-    groups: dict[int, list[Eigenvalue]] = {}
-    for lam in lams:
-        groups.setdefault(lam.n, []).append(lam)
-    return tuple((n, tuple(group)) for n, group in groups.items())
+def _orders_of_small_phi(limit: int) -> list[int]:
+    """Every n >= 1 with phi(n) <= limit, by a depth-first walk over prime
+    powers.  A prime p dividing n has p - 1 <= phi(n), so the primes up
+    to limit + 1 suffice, and phi(n * p**e) grows with p."""
+    primes = [p for p in range(2, limit + 2) if _is_prime(p)]
+    out: list[int] = []
+
+    def walk(n: int, phi: int, start: int) -> None:
+        out.append(n)
+        for i, p in enumerate(primes[start:], start):
+            q, f = n * p, phi * (p - 1)
+            if f > limit:
+                break
+            while f <= limit:
+                walk(q, f, i + 1)
+                q, f = q * p, f * p
+
+    walk(1, 1, 0)
+    return out
 
 
 @lru_cache(maxsize=None)
-def candidate_orders(
-    max_degree: int,
-) -> tuple[tuple[int, tuple[Eigenvalue, ...]], ...]:
-    """candidate_pairs(max_degree) grouped by root order."""
-    return group_by_order(candidate_pairs(max_degree))
+def candidate_orders(max_degree: int) -> tuple[tuple[int, tuple[Eigenvalue, ...]], ...]:
+    """The root orders n >= 3 with phi(n)/2 <= max_degree, each with its
+    eigenvalues (one tuple per order, shared across every max_degree), by
+    first appearance in (b, a) order: an even n starts b = n/2 at a = 1,
+    ahead of the odd order n = b."""
+    orders = [n for n in _orders_of_small_phi(2 * max_degree) if n >= 3]
+    orders.sort(key=lambda n: (n // 2, 0) if n % 2 == 0 else (n, 1))
+    return tuple((n, _order_lambdas(n)) for n in orders)
+
+
+@lru_cache(maxsize=None)
+def candidate_pairs(max_degree: int) -> tuple[Eigenvalue, ...]:
+    """All canonical eigenvalues whose minimal polynomial has degree at
+    most max_degree, sorted by (b, a): candidate_orders(max_degree)
+    flattened and sorted once."""
+    lams = [lam for _, group in candidate_orders(max_degree) for lam in group]
+    return tuple(sorted(lams, key=lambda e: (e.b, e.a)))
 
 
 # ---------------------------------------------------------------------------
@@ -384,24 +393,6 @@ def numeric_multiplicity(
 
 # ---------------------------------------------------------------------------
 # kernel dimension over Q(lambda)
-
-
-def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -51,7 +51,6 @@ from .spectra import (
     candidate_pairs,
     char_poly,
     cycle_char_poly,
-    group_by_order,
     line_char_poly,
     line_eig_classes,
     multiplicity,
@@ -341,7 +340,11 @@ def _once_per_order(
 ) -> dict[int, Any]:
     """fn at one lambda of each root order, keyed by the order, for an fn
     that sees lambda only through its minimal polynomial."""
-    return {n: fn(group[0]) for n, group in group_by_order(lams)}
+    out: dict[int, Any] = {}
+    for lam in lams:
+        if lam.n not in out:
+            out[lam.n] = fn(lam)
+    return out
 
 
 def _record(report: VerificationReport, name: str, detail: dict[str, Any]) -> None:
@@ -674,8 +677,11 @@ def cross_check_detail(g: Graph) -> list[dict[str, Any]]:
         return failures
     f = char_poly(g)
     spectrum = numeric_spectrum(g)
+    via_polys = {
+        n: multiplicity_in_poly(f, group[0])
+        for n, group in candidate_orders(g.vertex_count)
+    }
     lams = candidate_pairs(g.vertex_count)
-    via_polys = _once_per_order(lams, lambda lam: multiplicity_in_poly(f, lam))
     for lam, via_nullity in zip(lams, annihilator_dimensions(g, lams)):
         via_poly = via_polys[lam.n]
         via_numeric = numeric_multiplicity(spectrum, lam)

@@ -19,6 +19,7 @@ from lgmult.spectra import (
     NonCanonical,
     annihilator_dimension,
     annihilator_dimensions,
+    candidate_orders,
     candidate_pairs,
     char_poly,
     cycle_char_poly,
@@ -274,6 +275,65 @@ def test_candidate_pairs_sorted_and_monotone():
     small, big = candidate_pairs(2), candidate_pairs(5)
     assert set(small) <= set(big)
     assert list(big) == sorted(big, key=lambda l: (l.b, l.a))
+
+
+def _phi_table(limit):
+    """Euler's phi of 0..limit by sieve."""
+    phi = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi[p] == p:
+            for k in range(p, limit + 1, p):
+                phi[k] -= phi[k] // p
+    return phi
+
+
+def _group_by_order(lams):
+    groups = {}
+    for lam in lams:
+        groups.setdefault(lam.n, []).append(lam)
+    return tuple((n, tuple(group)) for n, group in groups.items())
+
+
+def _reference_candidate_pairs(max_degree, phi):
+    """Every k coprime to each order n <= 8*max_degree**2 + 2 with
+    phi(n)/2 <= max_degree, reduced to a/b and sorted by (b, a)."""
+    out = []
+    for n in range(3, 8 * max_degree * max_degree + 3):
+        if phi[n] // 2 <= max_degree:
+            for k in range(1, (n + 1) // 2):
+                if math.gcd(k, n) == 1:
+                    g = math.gcd(2 * k, n)
+                    out.append(Eigenvalue(2 * k // g, n // g))
+    return tuple(sorted(out, key=lambda e: (e.b, e.a)))
+
+
+def test_candidates_match_enumerate_sort_group():
+    phi = _phi_table(8 * 70 * 70 + 2)
+    for m in range(71):
+        want = _reference_candidate_pairs(m, phi)
+        assert candidate_pairs(m) == want, m
+        assert candidate_orders(m) == _group_by_order(want), m
+        assert candidate_orders(m) == _group_by_order(candidate_pairs(m)), m
+
+
+def test_candidate_orders_are_the_small_phi_orders():
+    phi = _phi_table(8 * 20 * 20 + 2)
+    for m in range(21):
+        want = {n for n in range(3, 8 * m * m + 3) if phi[n] <= 2 * m}
+        assert {n for n, _ in candidate_orders(m)} == want, m
+
+
+def test_order_groups_are_shared_across_degrees():
+    small, big = dict(candidate_orders(5)), dict(candidate_orders(9))
+    assert small[7] is big[7] and small[22] is big[22]
+
+
+def test_degree_is_half_of_phi():
+    for n in range(3, 501):
+        phi = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+        lam = Eigenvalue(2, n) if n % 2 else Eigenvalue(1, n // 2)
+        assert lam.n == n and lam.degree == phi // 2
+    assert Eigenvalue(1, 1000003).degree == 500001
 
 
 def test_annihilator_dimension_examples():
