@@ -15,6 +15,7 @@ import sys
 from typing import Any, Sequence
 
 from .certify import is_optimal, certificate_to_json, optimal_certificate
+from .enumeration import MAX_CAPPED_VERTICES, MAX_TREE_VERTICES, enumerate_connected
 from .families import CASE_TAGS, FamilySpec, realize
 from .graphio import (
     FormatError,
@@ -33,7 +34,12 @@ from .spectra import (
     multiplicity,
     multiplicity_in_poly,
 )
-from .verify import verify_graphs, verify_lemmas, verify_main_theorem
+from .verify import (
+    verify_congruence_laws,
+    verify_graphs,
+    verify_lemmas,
+    verify_main_theorem,
+)
 
 
 class UsageError(Exception):
@@ -179,6 +185,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # check every cap before the first sweep starts; --max-n is checked
+    # eagerly by verify_main_theorem
+    for flag, value, cap in (
+        ("--trees-to", args.trees_to, MAX_TREE_VERTICES),
+        ("--low-cycle-to", args.low_cycle_to, MAX_CAPPED_VERTICES),
+    ):
+        if value > cap:
+            raise UsageError(f"{flag} goes up to {cap} vertices, got {value}")
     if args.g6_file:
         try:
             with open(args.g6_file, "r", encoding="utf-8") as handle:
@@ -191,11 +205,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
             report = verify_main_theorem(args.max_n)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
+    if args.trees_to > args.max_n:
+        report.merge(verify_graphs(
+            enumerate_connected(args.trees_to, max_c=0, smallest=args.max_n + 1)
+        ))
+    if args.low_cycle_to > args.max_n:
+        low_cycle = enumerate_connected(
+            args.low_cycle_to, max_c=2, smallest=args.max_n + 1
+        )
+        report.merge(verify_graphs(
+            g for g in low_cycle if summarize(g).cyclomatic in (1, 2)
+        ))
     if args.lemmas:
         lemma_report = verify_lemmas(
             min(args.max_n, 7), samples=args.samples, seed=args.seed
         )
         report.merge(lemma_report)
+    passed = report.passed
+    if args.congruences:
+        law_failures = verify_congruence_laws()
+        for item in law_failures[:20]:
+            print(f"congruence failure: {item}", file=sys.stderr)
+        passed = passed and not law_failures
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(report.to_json())
@@ -205,7 +236,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         sys.stdout.write("\n")
     else:
         _emit(report.to_json_dict())
-    return 0 if report.passed else 1
+    return 0 if passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,6 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification sweeps")
     p.add_argument("--max-n", type=int, default=7)
     p.add_argument("--g6-file", help="verify a graph6 corpus file instead")
+    p.add_argument("--trees-to", type=int, default=0, metavar="N",
+                   help="also sweep all trees on max-n+1..N vertices")
+    p.add_argument("--low-cycle-to", type=int, default=0, metavar="N",
+                   help="also sweep unicyclic and bicyclic graphs on"
+                        " max-n+1..N vertices")
+    p.add_argument("--congruences", action="store_true",
+                   help="also check the exact path and cycle membership laws")
     p.add_argument("--lemmas", action="store_true",
                    help="also check the reduction identities")
     p.add_argument("--samples", type=int, default=200)

@@ -177,14 +177,6 @@ def div_exact(f: IntPoly, g: IntPoly) -> IntPoly:
     return IntPoly(tuple(q))
 
 
-def divides(g: IntPoly, f: IntPoly) -> bool:
-    try:
-        div_exact(f, g)
-        return True
-    except (ValueError, ZeroDivisionError):
-        return False
-
-
 def pseudo_rem(f: IntPoly, g: IntPoly) -> IntPoly:
     """Pseudo-remainder: remainder of lc(g)^(deg f - deg g + 1) * f by g."""
     if g.is_zero:

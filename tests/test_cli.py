@@ -8,10 +8,13 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from lgmult import cli, verify
 from lgmult.cli import main
+from lgmult.enumeration import enumerate_connected
 from lgmult.families import CASE_TAGS
 from lgmult.graphio import to_graph6
-from lgmult.graphs import build_graph
+from lgmult.graphs import build_graph, summarize
+from lgmult.verify import verify_graphs, verify_main_theorem
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMA_DIR = ROOT / "src" / "lgmult" / "schemas"
@@ -150,9 +153,18 @@ def test_python_dash_m_runs_the_cli():
 
 
 @pytest.mark.parametrize("flag", ["--max-n=11", "--max-n=1", "--trees-to=14", "--low-cycle-to=12"])
-def test_verification_script_checks_its_caps_first(flag):
-    done = _run(["scripts/run_verification.py", flag])
-    assert done.returncode == 2 and f"error: {flag.split('=')[0]} " in done.stderr
+def test_verify_checks_every_cap_before_any_sweep(flag, capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep started")
+
+    for module in (cli, verify):
+        monkeypatch.setattr(module, "verify_graphs", no_sweep)
+        monkeypatch.setattr(module, "enumerate_connected", no_sweep)
+    assert main(["verify", flag]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    if not flag.startswith("--max-n"):
+        assert f"error: {flag.split('=')[0]} " in err
 
 
 def test_gen_subcommand_round_trip(capsys):
@@ -207,3 +219,24 @@ def test_verify_lemmas_flag(capsys):
     )
     assert code == 0
     assert payload["passed"] is True
+
+
+def test_verify_extra_sweeps_and_congruences(capsys):
+    argv = ["verify", "--max-n", "3", "--trees-to", "6", "--low-cycle-to", "5", "--congruences"]
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    jsonschema.validate(payload, load_schema("report"))
+    expected = verify_main_theorem(3)
+    expected.merge(verify_graphs(enumerate_connected(6, max_c=0, smallest=4)))
+    low_cycle = enumerate_connected(5, max_c=2, smallest=4)
+    expected.merge(verify_graphs(g for g in low_cycle if summarize(g).cyclomatic in (1, 2)))
+    assert payload["graphs_checked"] == expected.graphs_checked
+    assert payload["candidates_checked"] == expected.candidates_checked
+
+
+def test_verify_congruence_failures_exit_one(capsys, monkeypatch):
+    failures = [{"shape": "path", "k": k} for k in range(25)]
+    monkeypatch.setattr(cli, "verify_congruence_laws", lambda: failures)
+    assert main(["verify", "--max-n", "2", "--congruences"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"congruence failure: {item}" for item in failures[:20]]

@@ -12,7 +12,7 @@ from lgmult import spectra
 from lgmult.enumeration import enumerate_connected
 from lgmult.families import realize
 from lgmult.graphs import build_graph
-from lgmult.intpoly import IntPoly, divides
+from lgmult.intpoly import IntPoly, div_exact
 from lgmult.linegraph import line_graph
 from lgmult.spectra import (
     Eigenvalue,
@@ -81,7 +81,8 @@ def test_trig_min_polys_pairwise_coprime():
     for lo in pool:
         for hi in pool:
             if lo.degree < hi.degree:
-                assert not divides(lo.minimal_polynomial, hi.minimal_polynomial)
+                with pytest.raises(ValueError):
+                    div_exact(hi.minimal_polynomial, lo.minimal_polynomial)
 
 
 def test_char_poly_examples():

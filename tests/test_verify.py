@@ -10,7 +10,7 @@ from lgmult.enumeration import MAX_ENUM_VERTICES, MAX_TREE_VERTICES, enumerate_c
 from lgmult.families import FamilySpec, realize, two_cycles_edge
 from lgmult.graphio import from_graph6, to_graph6
 from lgmult.graphs import build_graph, induced_subgraph, multiplicity_bound, summarize
-from lgmult.intpoly import div_exact, divides
+from lgmult.intpoly import div_exact
 from lgmult.linegraph import line_graph
 from lgmult.spectra import (
     Eigenvalue,
@@ -111,7 +111,7 @@ def test_verify_graphs_skips_cycles_and_disconnected():
     ],
 )
 def test_mutated_recognizers_are_caught(rules, max_n):
-    report = verify_main_theorem(max_n, rules, stop_after=1)
+    report = verify_main_theorem(max_n, rules)
     assert not report.passed
     assert len(report.equivalence_failures) >= 1
     failure = report.equivalence_failures[0]
@@ -121,7 +121,7 @@ def test_mutated_recognizers_are_caught(rules, max_n):
 
 
 def test_unmutated_rules_survive_the_same_range():
-    assert verify_main_theorem(6, stop_after=1).passed
+    assert verify_main_theorem(6).passed
 
 
 def test_lemma_sweep_small():
@@ -239,8 +239,11 @@ def _reference_check_graph(g, rules):
                 psi = lam.minimal_polynomial
                 if psi.degree > residual.degree:
                     continue
-                if residual(2) % psi(2) == 0 and divides(psi, residual):
-                    residual = div_exact(residual, psi)
+                if residual(2) % psi(2) == 0:
+                    try:
+                        residual = div_exact(residual, psi)
+                    except ValueError:
+                        pass
                 if residual.degree == 0:
                     break
             if residual.degree > 0:
