@@ -25,7 +25,6 @@ from .certify import (
     lambda_candidates,
     optimal_certificate,
     theorem31_conditions,
-    tree_certificate,
 )
 from .enumeration import canonical_key, enumerate_connected
 from .families import (
@@ -57,7 +56,6 @@ from .spectra import (
 )
 from .verify import (
     VerificationReport,
-    cross_check,
     verify_graphs,
     verify_lemmas,
     verify_main_theorem,
@@ -93,7 +91,6 @@ __all__ = [
     "canonical_key",
     "certificate_to_json",
     "char_poly",
-    "cross_check",
     "edge_reduction_probe",
     "eig_classes",
     "enumerate_connected",
@@ -115,7 +112,6 @@ __all__ = [
     "theorem31_conditions",
     "to_edge_text",
     "to_graph6",
-    "tree_certificate",
     "trig_min_poly",
     "two_cycles_edge",
     "verify_graphs",

@@ -5,8 +5,11 @@ bound 2c(G) + p(G) - 1 at lambda falls into one of five shapes: a path with
 the right pendant distance, a tree with >= 3 pendants and congruent pendant
 distances, a tree with one or two congruent pendant cycles attached, two
 congruent cycles joined by an edge, or a tree with >= 3 congruent pendant
-cycles.  The functions here decide which (if any) applies and give back a
-certificate naming the shape, or NotOptimal with the first failed condition.
+cycles.  Lambda enters these conditions only through its root order n, so
+``_verdict`` states them once, per order, on the graph's lambda-free
+``_shape``: ``optimal_orders`` gives the orders that pass, and
+``optimal_certificate`` the certificate naming the shape, or NotOptimal with
+the first failed condition.
 
 RecognizerRules exists for the test harness: it shifts the congruence
 constants so the verifier can prove the equivalence checks would catch a
@@ -33,11 +36,7 @@ from .graphs import (
     summarize,
 )
 from .linegraph import BlockStructure, EmptyGraph, block_block_distance
-from .spectra import Eigenvalue, candidate_pairs, line_char_poly, multiplicity_in_poly
-
-
-class NotATree(GraphError):
-    pass
+from .spectra import Eigenvalue, candidate_orders, candidate_pairs, line_char_poly, multiplicity_in_poly
 
 
 class IsACycle(GraphError):
@@ -169,12 +168,6 @@ def lambda_candidates(g: Graph) -> list[Eigenvalue]:
     return list(candidate_pairs(g.edge_count))
 
 
-def cycle_order_modulus(lam: Eigenvalue, rules: RecognizerRules = DEFAULT_RULES) -> int:
-    """Required divisor of attached-cycle orders: the root order of lambda,
-    b when a is even and 2b when a is odd."""
-    return max(1, lam.n // 2) if rules.halve_cycle_modulus else lam.n
-
-
 # ---------------------------------------------------------------------------
 # tree-side certificates
 
@@ -192,35 +185,18 @@ def _tree_facts(t: Graph) -> tuple[int, int, int]:
     return len(pend), ds[0], gcd(*(d - ds[0] for d in ds))
 
 
-def _tree_rule(
-    tree: tuple[int, int, int], lam: Eigenvalue, rules: RecognizerRules
-) -> OptimalityCertificate:
+def _tree_verdict(tree: tuple[int, int, int], n: int, rules: RecognizerRules) -> str:
     """The path rule at p = 2 (distance m (mod m+1), lambda = (i, m+1)) and
     the all-pendant-pairs rule at p >= 3 (distance 2q (mod 2q+1), lambda =
-    (2k, 2q+1)), on the (p, d0, gap) of ``_tree_facts``."""
+    (2k, 2q+1)), on the (p, d0, gap) of ``_tree_facts`` at root order n."""
     p, d0, gap = tree
-    b = lam.b
-    if p > 2 and lam.a % 2:
-        return NotOptimal(lam=lam, reason="lambda-form")
+    if p > 2 and n % 2 == 0:
+        return "lambda-form"
+    b = n if n % 2 else n // 2
     shift = rules.path_residue_shift if p == 2 else rules.tree_residue_shift
     if gap % b or d0 % b != (b - 1 - shift) % b:
-        return NotOptimal(lam=lam, reason="tree-congruence")
-    if p == 2:
-        return PathCase(lam=lam, i=lam.a, m=b - 1)
-    return TreeCase(lam=lam, k=lam.a // 2, q=(b - 1) // 2, pendant_count=p)
-
-
-def tree_certificate(
-    t: Graph, lam: Eigenvalue, rules: RecognizerRules = DEFAULT_RULES
-) -> OptimalityCertificate:
-    """Case decision for trees: the path rule at p = 2, the all-pendant-pairs
-    congruence at p >= 3 (which needs lambda = (2k, 2q+1))."""
-    s = summarize(t)
-    if not s.connected or s.cyclomatic != 0:
-        raise NotATree("tree certificate needs a connected acyclic graph")
-    if t.edge_count == 0:
-        raise EmptyGraph("an edgeless tree has an empty line graph")
-    return _tree_rule(_shape(t).tree, lam, rules)
+        return "tree-congruence"
+    return ""
 
 
 def theorem31_conditions(lt_blocks: BlockStructure, lam: Eigenvalue) -> bool:
@@ -336,7 +312,7 @@ def pendant_cycle_decompose(g: Graph) -> CycleDecomposition | DecompositionFailu
 
 @dataclass(frozen=True)
 class _Shape:
-    """The lambda-free facts of a graph that optimal_certificate reads: c,
+    """The lambda-free facts of a graph that the recognizer reads: c,
     the "shape:<reason>" of a failed decomposition ("" otherwise), the
     cycle orders, and (p, d0, gap) of the tree part (G itself when c = 0,
     None for two cycles joined by an edge)."""
@@ -375,43 +351,60 @@ def _shape(g: Graph) -> _Shape:
     )
 
 
+def _verdict(sh: _Shape, n: int, rules: RecognizerRules) -> str:
+    """"" when every lambda of root order n (n odd: a even and b = n; n
+    even: a odd and b = n/2) is optimal, else the first failed condition
+    in NotOptimal's fixed order."""
+    c = sh.c
+    if c == 0:
+        return _tree_verdict(sh.tree, n, rules)
+    if c >= 3 and n % 2 == 0:
+        return "lambda-form"
+    if sh.failure:
+        return sh.failure
+    mod = max(1, n // 2) if rules.halve_cycle_modulus else n
+    if gcd(*sh.cycle_orders) % mod:
+        return "cycle-orders"
+    if sh.tree is None:
+        return ""
+    if _tree_verdict(sh.tree, n, rules):
+        return "tree-congruence"
+    if sh.tree[0] < c:
+        return "pendant-deficit"
+    return ""
+
+
 def optimal_certificate(
     g: Graph, lam: Eigenvalue, rules: RecognizerRules = DEFAULT_RULES
 ) -> OptimalityCertificate:
     """Decide whether (g, lambda) matches one of the five optimal shapes.
 
-    The case conditions (c = 0, remainder emptiness, the c <= 2 / c >= 3
-    split) are mutually exclusive, so at most one shape matches.  Everything
-    lambda-free is settled once per graph by ``_shape``; what is left per
-    lambda is a few integer tests.
-
-    The verdict (optimal or not, the case tag, the NotOptimal reason) reads
-    lambda only through a % 2 and b, under any RecognizerRules.  The root
-    order n = Eigenvalue.n fixes both (n odd: a even and b = n; n even: a
-    odd and b = n/2), so every lambda of one order gets the same verdict;
-    ``verify.check_graph`` certifies one lambda per order on that basis.
-    Only the certificate's own parameters (lam, i, k) carry a itself.
+    ``_verdict`` decides at the root order of lambda from the graph's
+    lambda-free ``_shape``; an optimal pair gets the one certificate its
+    shape allows (c = 0, remainder emptiness and c <= 2 / c >= 3 are
+    mutually exclusive).  Only the parameters lam, i and k carry a itself.
     """
     sh = _shape(g)
-    c = sh.c
-    if c == 0:
-        return _tree_rule(sh.tree, lam, rules)
-    if c >= 3 and lam.a % 2:
-        return NotOptimal(lam=lam, reason="lambda-form")
-    if sh.failure:
-        return NotOptimal(lam=lam, reason=sh.failure)
-    mod = cycle_order_modulus(lam, rules)
-    if any(o % mod for o in sh.cycle_orders):
-        return NotOptimal(lam=lam, reason="cycle-orders")
+    reason = _verdict(sh, lam.n, rules)
+    if reason:
+        return NotOptimal(lam, reason)
     if sh.tree is None:
-        return TwoCyclesEdge(lam=lam, orders=sh.cycle_orders)
-    if not is_optimal(_tree_rule(sh.tree, lam, rules)):
-        return NotOptimal(lam=lam, reason="tree-congruence")
-    if sh.tree[0] < c:
-        return NotOptimal(lam=lam, reason="pendant-deficit")
+        return TwoCyclesEdge(lam, sh.cycle_orders)
+    c, p = sh.c, sh.tree[0]
+    if c == 0:
+        if p == 2:
+            return PathCase(lam, lam.a, lam.b - 1)
+        return TreeCase(lam, lam.a // 2, (lam.b - 1) // 2, p)
     if c <= 2:
         return AttachedCycles(lam, sh.tree_vertices, sh.cycle_orders, sh.attachment_pendants, c)
     return ManyCycles(lam, sh.tree_vertices, sh.cycle_orders, c, (lam.b - 1) // 2, lam.a // 2)
+
+
+def optimal_orders(g: Graph, rules: RecognizerRules = DEFAULT_RULES) -> frozenset[int]:
+    """The root orders of candidate_pairs(|E(G)|) at which every lambda is
+    optimal: ``_verdict`` once per order, with no certificate built."""
+    sh = _shape(g)
+    return frozenset(n for n, _ in candidate_orders(g.edge_count) if not _verdict(sh, n, rules))
 
 
 # ---------------------------------------------------------------------------

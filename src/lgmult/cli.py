@@ -110,7 +110,7 @@ def cmd_linegraph(args: argparse.Namespace) -> int:
         lm = line_graph(g)
     except GraphError as exc:
         raise UsageError(str(exc)) from exc
-    _emit({"base": _graph_json(lm.base), "line": _graph_json(lm.line)})
+    _emit({"base": _graph_json(g), "line": _graph_json(lm.line)})
     return 0
 
 

@@ -35,9 +35,8 @@ class NoSecondBlock(GraphError):
 
 @dataclass(frozen=True)
 class LineGraphMap:
-    """Line graph of ``base``; line vertex i is base edge i."""
+    """L(G) for the G given to ``line_graph``; line vertex i is edge i of G."""
 
-    base: Graph
     line: Graph
 
 
@@ -57,7 +56,7 @@ def line_graph(g: Graph) -> LineGraphMap:
             for j in range(i + 1, len(ids)):
                 a, b = ids[i], ids[j]
                 line_edges.add((a, b) if a < b else (b, a))
-    return LineGraphMap(base=g, line=build_graph(m, sorted(line_edges)))
+    return LineGraphMap(line=build_graph(m, sorted(line_edges)))
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,8 @@ from .certify import (
     edge_reduction_probe,
     is_optimal,
     optimal_certificate,
+    optimal_orders,
     theorem31_conditions,
-    tree_certificate,
 )
 from .enumeration import MAX_ENUM_VERTICES, MAX_TREE_VERTICES, enumerate_connected
 from .graphio import to_graph6
@@ -218,16 +218,16 @@ def check_graph(
     """Run the bound, equivalence, and eigenvalue-form checks on one
     connected non-cycle graph with at least one edge.
 
-    Both sides of the equivalence are settled once per root order n.  The
-    multiplicity side collects the orders whose minimal polynomial divides
-    the squarefree class of multiplicity ``bound``, which holds exactly when
-    every lambda of that order attains the bound.  The recognizer side
-    certifies the first lambda of each order, whose verdict every lambda of
-    the order shares (``optimal_certificate`` reads only a % 2 and b).  An
-    order where the two sides disagree yields one failure per lambda, and
-    only then is its multiplicity counted.  The classes come from the
-    n x n route of ``line_eig_classes``, so L(G) is never built, and the
-    full polynomial of L(G) only for such an order.
+    Both sides of the equivalence are sets of root orders n, since every
+    lambda of one order shares its minimal polynomial and its verdict.
+    The multiplicity side collects the orders whose minimal polynomial
+    divides the squarefree class of multiplicity ``bound``, which holds
+    exactly when every lambda of that order attains the bound.  The
+    recognizer side is ``optimal_orders``, which reads no multiplicity.
+    Only an order where the two sets disagree gets a certificate and its
+    multiplicity counted, and yields one failure per lambda.  The classes
+    come from the n x n route of ``line_eig_classes``, so L(G) is never
+    built, and the full polynomial of L(G) only for such an order.
     """
     report = VerificationReport()
     s = summarize(g)
@@ -264,10 +264,11 @@ def check_graph(
                     )
                 )
 
+    optimal = optimal_orders(g, rules)
     for n, lams in candidate_orders(g.edge_count):
         report.candidates_checked += len(lams)
-        cert = optimal_certificate(g, lams[0], rules)
-        if is_optimal(cert) != (n in at_bound):
+        if (n in optimal) != (n in at_bound):
+            cert = optimal_certificate(g, lams[0], rules)
             mult = multiplicity_in_poly(line_char_poly(g), lams[0])
             report.equivalence_failures.extend(
                 EquivalenceFailure(g6(), lam, _verdict_string(cert), mult, bound)
@@ -638,7 +639,7 @@ def verify_block_agreement(max_n: int = 13) -> list[dict[str, Any]]:
             if lam.a % 2 or lam.b % 2 == 0:
                 continue
             via_blocks = theorem31_conditions(blocks, lam)
-            via_pendants = is_optimal(tree_certificate(t, lam))
+            via_pendants = is_optimal(optimal_certificate(t, lam))
             if via_blocks != via_pendants:
                 failures.append(
                     {
@@ -649,11 +650,6 @@ def verify_block_agreement(max_n: int = 13) -> list[dict[str, Any]]:
                     }
                 )
     return failures
-
-
-def cross_check(g: Graph) -> bool:
-    """Agreement of the three multiplicity routes on one graph."""
-    return not cross_check_detail(g)
 
 
 def cross_check_detail(g: Graph) -> list[dict[str, Any]]:

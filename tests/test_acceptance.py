@@ -52,6 +52,7 @@ def test_criterion_1_bound(full_sweep):
     ok = (
         full_sweep.bound_violations == []
         and full_sweep.graphs_checked == 12106
+        and full_sweep.candidates_checked == 5_175_040
         and full_sweep.elapsed <= 15 * MINUTES
     )
     announce("1 multiplicity bound on all connected non-cycle graphs n <= 8", ok)

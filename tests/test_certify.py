@@ -13,22 +13,20 @@ from lgmult.certify import (
     IsACycle,
     ManyCycles,
     NoQualifyingEdge,
-    NotATree,
     NotOptimal,
     PathCase,
     RecognizerRules,
     TreeCase,
     TwoCyclesEdge,
-    _tree_rule,
+    _tree_verdict,
     certificate_to_json,
-    cycle_order_modulus,
     edge_reduction_probe,
     is_optimal,
     lambda_candidates,
     optimal_certificate,
+    optimal_orders,
     pendant_cycle_decompose,
     theorem31_conditions,
-    tree_certificate,
 )
 from lgmult.enumeration import enumerate_connected
 from lgmult.families import make_B, make_theta, negative_corpus, realize, two_cycles_edge
@@ -45,38 +43,46 @@ def test_lambda_candidates_sized_by_edge_count():
 
 
 def test_cycle_order_modulus_parity():
-    assert cycle_order_modulus(Eigenvalue(2, 3)) == 3
-    assert cycle_order_modulus(Eigenvalue(1, 2)) == 4
-    assert cycle_order_modulus(Eigenvalue(1, 3)) == 6
+    # attached-cycle orders must be divisible by the root order of lambda:
+    # b when a is even, 2b when a is odd
+    def verdict(g, lam, rules=RecognizerRules()):
+        cert = optimal_certificate(g, lam, rules)
+        return cert.case_tag if is_optimal(cert) else cert.reason
+
+    assert verdict(two_cycles_edge(3, 3), Eigenvalue(2, 3)) == "TwoCyclesEdge"
+    assert verdict(two_cycles_edge(4, 4), Eigenvalue(1, 2)) == "TwoCyclesEdge"
+    assert verdict(two_cycles_edge(3, 3), Eigenvalue(1, 2)) == "cycle-orders"
+    assert verdict(two_cycles_edge(6, 6), Eigenvalue(1, 3)) == "TwoCyclesEdge"
+    assert verdict(two_cycles_edge(3, 3), Eigenvalue(1, 3)) == "cycle-orders"
+    halved = RecognizerRules(halve_cycle_modulus=True)
+    assert verdict(two_cycles_edge(3, 3), Eigenvalue(1, 3), halved) == "TwoCyclesEdge"
 
 
 def test_path_certificate_examples():
-    cert = tree_certificate(path(4), Eigenvalue(1, 2))
+    cert = optimal_certificate(path(4), Eigenvalue(1, 2))
     assert isinstance(cert, PathCase) and cert.i == 1 and cert.m == 1
-    assert isinstance(tree_certificate(path(4), Eigenvalue(2, 3)), NotOptimal)
-    assert isinstance(tree_certificate(path(5), Eigenvalue(1, 4)), NotOptimal)
-    assert isinstance(tree_certificate(path(4), Eigenvalue(1, 4)), PathCase)
+    assert isinstance(optimal_certificate(path(4), Eigenvalue(2, 3)), NotOptimal)
+    assert isinstance(optimal_certificate(path(5), Eigenvalue(1, 4)), NotOptimal)
+    assert isinstance(optimal_certificate(path(4), Eigenvalue(1, 4)), PathCase)
 
 
 def test_tree_certificate_examples():
-    cert = tree_certificate(star(3), Eigenvalue(2, 3))
+    cert = optimal_certificate(star(3), Eigenvalue(2, 3))
     assert isinstance(cert, TreeCase) and cert.k == 1 and cert.q == 1
     assert cert.pendant_count == 3
 
-    cert = tree_certificate(star(3), Eigenvalue(1, 2))
+    cert = optimal_certificate(star(3), Eigenvalue(1, 2))
     assert isinstance(cert, NotOptimal) and cert.reason == "lambda-form"
 
-    cert = tree_certificate(spider(3, 2), Eigenvalue(2, 5))
+    cert = optimal_certificate(spider(3, 2), Eigenvalue(2, 5))
     assert isinstance(cert, TreeCase) and cert.k == 1 and cert.q == 2
 
     # p = 2 routes through the path rule
-    assert isinstance(tree_certificate(path(4), Eigenvalue(1, 2)), PathCase)
+    assert isinstance(optimal_certificate(path(4), Eigenvalue(1, 2)), PathCase)
 
-    with pytest.raises(NotATree):
-        tree_certificate(cycle(4), Eigenvalue(1, 2))
     for n in (0, 1):  # no edge, so no line graph to attain a bound
         with pytest.raises(EmptyGraph):
-            tree_certificate(build_graph(n, []), Eigenvalue(2, 3))
+            optimal_certificate(build_graph(n, []), Eigenvalue(2, 3))
 
 
 def test_theorem31_conditions_examples():
@@ -298,7 +304,7 @@ def _reference_certificate(g, lam, rules):
     if c >= 3 and lam.a % 2:
         return NotOptimal(lam=lam, reason="lambda-form")
     dec = pendant_cycle_decompose(g)
-    mod = cycle_order_modulus(lam, rules)
+    mod = max(1, lam.n // 2) if rules.halve_cycle_modulus else lam.n
     if isinstance(dec, DecompositionFailure):
         if dec.reason != "two-cycles-edge":
             return NotOptimal(lam=lam, reason=f"shape:{dec.reason}")
@@ -344,12 +350,15 @@ def _recognizer_corpus():
 @pytest.mark.parametrize("rules", RULE_SETS, ids=RULE_IDS)
 def test_optimal_certificate_matches_the_per_call_reference(rules):
     for g in _recognizer_corpus():
-        tree = summarize(g).is_tree and g.edge_count > 0
+        s = summarize(g)
+        optimal = set()
         for lam in lambda_candidates(g) or [Eigenvalue(1, 2)]:
             want = _outcome(_reference_certificate, g, lam, rules)
             assert _outcome(optimal_certificate, g, lam, rules) == want, (g, lam)
-            if tree:
-                assert _outcome(tree_certificate, g, lam, rules) == want, (g, lam)
+            if not isinstance(want, str) and is_optimal(want):
+                optimal.add(lam.n)
+        if s.connected and not s.is_cycle and g.edge_count > 0:
+            assert optimal_orders(g, rules) == optimal, g
 
 
 @given(
@@ -368,5 +377,5 @@ def test_residue_form_matches_the_all_pairs_test(ds, b, w, path_rule):
         w %= b
         lam, rules = Eigenvalue(2, b), RecognizerRules(tree_residue_shift=b - 1 - w)
     p = 2 if path_rule else 3
-    cert = _tree_rule((p, ds[0], gcd(*(d - ds[0] for d in ds))), lam, rules)
-    assert is_optimal(cert) == all(d % b == w for d in ds)
+    verdict = _tree_verdict((p, ds[0], gcd(*(d - ds[0] for d in ds))), lam.n, rules)
+    assert (verdict == "") == all(d % b == w for d in ds)

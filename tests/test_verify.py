@@ -28,7 +28,6 @@ from lgmult.verify import (
     LambdaFormFailure,
     VerificationReport,
     _verdict_string,
-    cross_check,
     cross_check_detail,
     check_graph,
     verify_block_agreement,
@@ -95,6 +94,18 @@ def test_check_graph_encodes_graph6_only_for_a_failure(monkeypatch):
         assert check_graph(g).passed
 
 
+def test_check_graph_certifies_only_a_mismatched_order(monkeypatch):
+    def refuse(g, lam, rules):
+        raise AssertionError("check_graph built a certificate for a graph that passed")
+
+    monkeypatch.setattr(verify, "optimal_certificate", refuse)
+    graphs = _checkable_graphs(6)
+    assert sum(check_graph(g).passed for g in graphs) == len(graphs) == 138
+    # a mutated recognizer disagrees somewhere, and only there is a certificate built
+    with pytest.raises(AssertionError, match="built a certificate"):
+        verify_graphs(graphs, RecognizerRules(path_residue_shift=1))
+
+
 def test_verify_graphs_skips_cycles_and_disconnected():
     two_parts = build_graph(4, [(0, 1), (2, 3)])
     report = verify_graphs([cycle(5), two_parts, path(3)])
@@ -144,17 +155,16 @@ def test_path_absorption_direct_instance():
 
 
 def test_cross_check_known_graphs():
-    assert cross_check(build_graph(3, [(0, 1), (1, 2), (2, 0)]))
+    assert cross_check_detail(build_graph(3, [(0, 1), (1, 2), (2, 0)])) == []
     petersen = build_graph(
         10,
         [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (1, 6), (2, 7), (3, 8),
          (4, 9), (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)],
     )
-    assert cross_check(petersen)
+    assert cross_check_detail(petersen) == []
     big_line = line_graph(two_cycles_edge(4, 4)).line
-    assert cross_check(big_line)
-    assert multiplicity(big_line, Eigenvalue(1, 2)) == 3
     assert cross_check_detail(big_line) == []
+    assert multiplicity(big_line, Eigenvalue(1, 2)) == 3
 
 
 def test_reports_are_deterministic():
@@ -269,7 +279,7 @@ def _without_elapsed(report):
 
 @pytest.mark.parametrize("rules", RULE_SETS, ids=RULE_IDS)
 def test_certificate_verdict_is_shared_by_each_root_order(rules):
-    # check_graph certifies only the first lambda of each order
+    # check_graph decides once per order, and certifies only the first lambda of a mismatch
     for g in _checkable_graphs(7):
         for _, lams in candidate_orders(g.edge_count):
             first = _verdict_string(optimal_certificate(g, lams[0], rules))
