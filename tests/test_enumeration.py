@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from functools import lru_cache
 from itertools import permutations
@@ -8,13 +9,15 @@ from hypothesis import given, settings, strategies as st
 from conftest import star
 from test_graphs import connected_graphs
 from lgmult.enumeration import (
+    _automorphisms,
     _canonical,
-    _deletion_key,
+    _graph,
+    _is_canonical_deletion,
     _rooted_key,
     canonical_key,
     enumerate_connected,
 )
-from lgmult.graphs import Graph, build_graph, summarize
+from lgmult.graphs import build_graph, summarize
 
 
 def otter_tree_counts(max_n):
@@ -188,15 +191,19 @@ BARBELL = build_graph(
 def test_every_connected_graph_has_one_canonical_deletion_orbit(g):
     """Completeness rests on this: with each non-cut vertex moved last in
     turn (the generator's new vertex is never a cut vertex), the deletion
-    test accepts some vertex, and only one orbit (one rooted key)."""
+    test accepts some vertex, and the accepted vertices are one whole
+    orbit (every vertex with one rooted key)."""
     n = g.vertex_count
-    keys = set()
+    adj = rows(g)
+    accepted = set()
     for v in set(range(n)) - set(summarize(g).cut_vertices):
         swap = {v: n - 1, n - 1: v}
         moved = build_graph(n, [(swap.get(a, a), swap.get(b, b)) for a, b in g.edges])
-        keys.add(_deletion_key(rows(moved)))
-    keys.discard(None)
+        if _is_canonical_deletion(rows(moved)):
+            accepted.add(v)
+    keys = {_rooted_key(adj, v) for v in accepted}
     assert len(keys) == 1
+    assert accepted == {v for v in range(n) if _rooted_key(adj, v) in keys}
 
 
 @settings(max_examples=60)
@@ -219,3 +226,93 @@ def test_rooted_key_is_an_orbit_invariant(g, rng):
     for u in range(n):
         for w in range(n):
             assert (keys[u] == keys[w]) == any(p[u] == w for p in autos)
+
+
+def automorphism_count(adj):
+    """|Aut| by brute force: extend a partial map vertex by vertex while
+    it keeps degrees and the adjacency to the vertices already mapped."""
+    n = len(adj)
+
+    def extend(p):
+        i = len(p)
+        if i == n:
+            return 1
+        return sum(
+            extend(p + [w]) for w in range(n)
+            if w not in p and adj[w].bit_count() == adj[i].bit_count()
+            and all((adj[i] >> j & 1) == (adj[w] >> p[j] & 1) for j in range(i))
+        )
+
+    return extend([])
+
+
+def group_closure(gens, n):
+    group = {tuple(range(n))}
+    frontier = list(group)
+    for g in frontier:
+        for p in gens:
+            h = tuple(p[g[u]] for u in range(n))
+            if h not in group:
+                group.add(h)
+                frontier.append(h)
+    return group
+
+
+def assert_generators_give_the_group(adj):
+    """The generators are automorphisms, their closure is all of Aut,
+    and two vertices share an orbit exactly when their rooted keys agree."""
+    n = len(adj)
+    edges = {(u, w) for u in range(n) for w in range(n) if adj[u] >> w & 1}
+    gens = _automorphisms(adj)
+    for p in gens:
+        assert sorted(p) == list(range(n))
+        assert {(p[u], p[w]) for u, w in edges} == edges
+    group = group_closure(gens, n)
+    assert len(group) == automorphism_count(adj)
+    keys = [_rooted_key(adj, v) for v in range(n)]
+    for u in range(n):
+        orbit = {h[u] for h in group}
+        assert orbit == {w for w in range(n) if keys[w] == keys[u]}
+
+
+def test_automorphism_generators_on_every_small_connected_graph():
+    for g in walk(7):
+        if 2 <= g.vertex_count <= 6:
+            assert_generators_give_the_group(rows(g))
+
+
+@settings(max_examples=60)
+@given(connected_graphs(max_n=8) | st.just(BARBELL), st.randoms(use_true_random=False))
+def test_automorphism_generators_on_relabeled_graphs(g, rng):
+    n = g.vertex_count
+    perm = list(range(n))
+    rng.shuffle(perm)
+    assert_generators_give_the_group(rows(build_graph(n, [(perm[u], perm[v]) for u, v in g.edges])))
+
+
+def test_graph_from_rows_matches_build_graph():
+    for g in walk(7):
+        adj = rows(g)
+        n = len(adj)
+        built = build_graph(n, [(u, w) for u in range(n) for w in range(u + 1, n) if adj[u] >> w & 1])
+        assert _graph(adj) == built == g
+
+
+# sha256 over repr((vertex_count, edges)) of each graph of the labelled
+# stream enumerate_connected(top, max_c, smallest=1), taken from the walk
+# that tried every neighbor set and kept one child per rooted key; the
+# degree prefilter and the orbit pruning must leave each stream as it is.
+STREAM_DIGESTS = {
+    (8, None): "5ae9b0a8d9ddd923ea7e511e42fec1ae72d1d9b237e2d6499470113dce436f7f",
+    (10, 2): "0d7a3524f5a52da65edbf5e3687c947fe82a1794972fe6363d7b239a28706d17",
+    (9, 1): "53f86cc0b7ee66366883031d351b8ad4dffe186b0c0fe7d8a406cc6ee49e761a",
+    (12, 0): "e93719424d3b9bc8e507a95d4b493fa59c54cb76dbe3c28285e5edacf98c5186",
+}
+
+
+@pytest.mark.parametrize("top,max_c", list(STREAM_DIGESTS))
+def test_labelled_streams_are_pinned(top, max_c):
+    h = hashlib.sha256()
+    for g in walk(top, max_c):
+        h.update(repr((g.vertex_count, g.edges)).encode())
+    assert h.hexdigest() == STREAM_DIGESTS[top, max_c]
