@@ -113,7 +113,7 @@ def _node(
     A branch moves its vertex just above the rest of its cell, and the
     later cells up by one."""
     n = len(adj)
-    sizes = [0] * n
+    sizes = [0] * (max(colors) + 1)
     for c in colors:
         sizes[c] += 1
     split = [(k, c) for c, k in enumerate(sizes) if k > 1]
@@ -230,8 +230,7 @@ def canonical_key(g: Graph) -> bytes:
 
 
 def _rooted_key(adj: tuple[int, ...], v: int) -> bytes:
-    """Canonical key of the graph, on two or more vertices, with v as its
-    one marked vertex."""
+    """Canonical key of the graph with v as its one marked vertex."""
     return _canonical(adj, tuple(int(w == v) for w in range(len(adj))))
 
 

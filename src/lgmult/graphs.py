@@ -62,9 +62,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     @property
     def edge_count(self) -> int:
         return len(self.edges)

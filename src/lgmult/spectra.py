@@ -372,21 +372,22 @@ def numeric_spectrum(g: Graph) -> list[float]:
     return [float(x) for x in np.linalg.eigvalsh(a)]
 
 
-def numeric_multiplicity(
-    spectrum: Sequence[float],
-    lam: Eigenvalue,
-    tol: float = 1e-8,
-    gap: float = 1e-6,
-) -> int | None:
-    """Count spectrum entries within tol of lam; None when some entry falls
-    in the ambiguous band between tol and gap, where rounding could miscount."""
+# Entries within _NUMERIC_TOL of lambda count; one between _NUMERIC_TOL
+# and _NUMERIC_GAP, where rounding could miscount, makes the count abstain.
+_NUMERIC_TOL = 1e-8
+_NUMERIC_GAP = 1e-6
+
+
+def numeric_multiplicity(spectrum: Sequence[float], lam: Eigenvalue) -> int | None:
+    """Count spectrum entries within _NUMERIC_TOL of lam; None when some
+    entry falls in the guard band below _NUMERIC_GAP."""
     target = lam.numeric
     count = 0
     for x in spectrum:
         d = abs(x - target)
-        if d <= tol:
+        if d <= _NUMERIC_TOL:
             count += 1
-        elif d < gap:
+        elif d < _NUMERIC_GAP:
             return None
     return count
 
@@ -473,101 +474,59 @@ def _screen_full_rank(g: Graph, orders: list[int]) -> set[int]:
     return certified
 
 
-def _ring_mul(u: Sequence[int], v: Sequence[int], psi: Sequence[int]) -> tuple[int, ...]:
-    """Product in Z[y]/(Psi) of two coefficient sequences, reduced to a
-    tuple of length deg(Psi); Psi is monic, so reducing needs no division."""
-    d = len(psi) - 1
-    out = [0] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                out[i + j] += a * b
-    for i in range(len(out) - 1, d - 1, -1):
-        c = out[i]
-        if c:
-            for j in range(d):
-                out[i - d + j] -= c * psi[j]
-    return tuple(out[:d])
-
-
-@lru_cache(maxsize=None)
-def _conjugations(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The nontrivial automorphisms of Z[y]/(Psi_n), each given by the
-    images of the basis 1, y, ..., y^(d-1).
-
-    They send y to C_k(y) for k coprime to n with 1 < k < n/2, where
-    C_k(z + 1/z) = z^k + z^-k, that is 2cos(2*pi*j/n) -> 2cos(2*pi*j*k/n).
-    """
-    psi = _order_min_poly(n).coeffs
-    d = len(psi) - 1
-    one = (1,) + (0,) * (d - 1)
-    y = _ring_mul((0, 1), one, psi)
-    chebyshev = [(2,) + (0,) * (d - 1), y]  # C_0, C_1, ...
-    for _ in range(2, (n + 1) // 2):
-        c = _ring_mul(y, chebyshev[-1], psi)
-        chebyshev.append(tuple(a - b for a, b in zip(c, chebyshev[-2])))
-    out = []
-    for k in range(2, (n + 1) // 2):
-        if math.gcd(k, n) == 1:
-            powers = [one]
-            for _ in range(d - 1):
-                powers.append(_ring_mul(powers[-1], chebyshev[k], psi))
-            out.append(tuple(powers))
-    return tuple(out)
-
-
 def _nullity_exact(g: Graph, n: int) -> int:
     """Kernel dimension over Q(lambda) of A - lambda*I for the
-    eigenvalues of root order n, by fraction-free elimination in
-    Z[y]/(Psi_n).
+    eigenvalues of root order n, as the rank of one integer matrix.
 
-    Elements are int tuples of length deg(Psi), reduced by the monic Psi.
-    The pivot row is first multiplied by the product of the pivot's other
-    Galois conjugates, which turns the pivot into its norm, a nonzero
-    integer.  Every other row is then updated by cross-multiplication and
-    divided by the integer content of its entries, so each row stays a
-    rational multiple of the exact Schur-complement row and the integers
-    do not grow from step to step.
+    With d = deg(Psi_n) and C the companion matrix of Psi_n (u -> y*u on
+    the basis 1, y, ..., y^(d-1)), A - lambda*I acting on Q(lambda)^v =
+    Q^(vd) is M = A (x) I_d - I_v (x) C.  A is symmetric and Psi_n has
+    distinct roots, so ker M is the sum of the eigenspaces of A at the d
+    conjugates of lambda, which share one dimension: dim_Q ker M =
+    d * nullity.  Rows go vertex by vertex and columns power by power
+    (column s*v + j is y^s at vertex j); any order gives the same rank,
+    and this one ran 3 to 5 times faster than vertex-major columns on
+    Petersen and G(40, 1/2).
+
+    Fraction-free elimination: each row with a nonzero entry f in the
+    pivot column becomes p*row - f*pivot_row over the content of its
+    entries; the other rows stay.  Each row is then the primitive integer
+    multiple of its exact Schur-complement row, whose entries times the
+    pivot minor are minors of M, so they stay within Hadamard's bound
+    rather than doubling in length at every step.
     """
     psi = _order_min_poly(n).coeffs
     d = len(psi) - 1
-    conjugations = _conjugations(n)
-    zero, one = (0,) * d, (1,) + (0,) * (d - 1)
-    # -lambda: -y, or psi[0] when Psi = y + psi[0] has degree one
-    minus_lam = (psi[0],) if d == 1 else (0, -1) + (0,) * (d - 2)
-    size = g.vertex_count
+    v = g.vertex_count
+    size = v * d
     rows = []
-    for i in range(size):
-        nbrs = set(g.adj[i])
-        rows.append([minus_lam if i == j else one if j in nbrs else zero for j in range(size)])
+    for i, nbrs in enumerate(g.adj):
+        for s in range(d):
+            row = [0] * size
+            for j in nbrs:
+                row[s * v + j] = 1
+            if s:
+                row[(s - 1) * v + i] = -1
+            row[(d - 1) * v + i] += psi[s]
+            rows.append(row)
     rank = 0
-    for _ in range(size):
-        piv = next((k for k, row in enumerate(rows) if any(row[0])), None)
+    for c in range(size):
+        piv = next((k for k, row in enumerate(rows) if row[c]), None)
         if piv is None:
-            rows = [row[1:] for row in rows]
             continue
-        pivot, pivot_rest = rows[piv][0], rows.pop(piv)[1:]
+        pivot_row = rows.pop(piv)
+        p = pivot_row[c]
         rank += 1
-        cofactor = one
-        for images in conjugations:
-            image = [sum(c * basis[i] for c, basis in zip(pivot, images)) for i in range(d)]
-            cofactor = _ring_mul(cofactor, image, psi)
-        norm, *rest_of_norm = _ring_mul(cofactor, pivot, psi)
-        if any(rest_of_norm):
-            raise AssertionError(f"pivot norm is not an integer in Z[y]/(Psi_{n})")
-        pivot_rest = [_ring_mul(cofactor, y, psi) for y in pivot_rest]
         for k, row in enumerate(rows):
-            f, rest = row[0], row[1:]
-            if any(f):
-                rest = [
-                    tuple(norm * a - b for a, b in zip(x, _ring_mul(f, y, psi)))
-                    for x, y in zip(rest, pivot_rest)
-                ]
-                content = math.gcd(*(c for e in rest for c in e))
-                if content > 1:
-                    rest = [tuple(c // content for c in e) for e in rest]
-            rows[k] = rest
-    return size - rank
+            f = row[c]
+            if f:
+                row = [p * a - f * b for a, b in zip(row, pivot_row)]
+                content = math.gcd(*row)
+                rows[k] = [a // content for a in row] if content > 1 else row
+    nullity, rest = divmod(size - rank, d)
+    if rest:
+        raise AssertionError(f"dim ker M = {size - rank} is not a multiple of deg(Psi_{n})")
+    return nullity
 
 
 def annihilator_dimensions(g: Graph, lams: Iterable[Eigenvalue]) -> list[int]:
@@ -577,8 +536,9 @@ def annihilator_dimensions(g: Graph, lams: Iterable[Eigenvalue]) -> list[int]:
 
     The answer depends on lambda only through its root order, so it is
     computed once per order: a modular screen certifies the frequent
-    full-rank orders together, and every other order goes through exact
-    elimination.
+    full-rank orders together, and every other order goes through
+    _nullity_exact, the rank of one integer matrix of size
+    vertex_count * deg(Psi).
     """
     lams = list(lams)
     if not g.vertex_count:

@@ -416,6 +416,17 @@ def test_exact_route_on_dense_graphs():
     assert want == [0, 6, 6, 0]
 
 
+def test_exact_route_on_cycles_at_nullity_two():
+    # the cycle law: an eigenvalue of root order n lies in the spectrum of
+    # C_k, twice, exactly when n | k; orders reach degree 4, so the
+    # companion blocks reach 4 x 4
+    orders = [n for n, _ in candidate_orders(4)]
+    assert max(spectra._order_min_poly(n).degree for n in orders) == 4
+    for k in range(3, 25):
+        got = [spectra._nullity_exact(cycle(k), n) for n in orders]
+        assert got == [2 if k % n == 0 else 0 for n in orders]
+
+
 def test_importing_the_exact_layers_does_not_load_numpy():
     code = "import sys, lgmult.spectra, lgmult.verify; sys.exit('numpy' in sys.modules)"
     src = os.path.dirname(os.path.dirname(spectra.__file__))
