@@ -7,15 +7,16 @@ and the edge id is the position in the edge list.  Everything downstream
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-# Entries kept by each memo table keyed on a graph (summarize, line_graph,
-# char_poly, the squarefree classes, the pendant-cycle decomposition and
-# the pendant distances).  The checks of one graph reuse a handful of
-# entries, so this covers every reuse while a long sweep's memory stays
-# bounded.
+# Entries kept by each bounded memo table: those keyed on a graph
+# (graphs.summarize, linegraph.line_graph, spectra.char_poly,
+# spectra._line_spectrum, certify.pendant_cycle_decompose and
+# certify._shape) and spectra.eig_classes, keyed on a characteristic
+# polynomial.  The checks of one graph reuse a handful of entries, so this
+# covers every reuse while a long sweep's memory stays bounded.
 GRAPH_CACHE_SIZE = 1024
 
 
@@ -47,17 +48,39 @@ class NotAPendantPath(GraphError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Graph:
     """Immutable simple graph.
 
     Build through build_graph(); the constructor assumes already-validated
     input.  ``adj[v]`` is a sorted tuple of neighbors.
+
+    Graphs key the memo tables, so the hash of (vertex_count, edges) is
+    computed once, at construction.  Equality compares vertex_count and
+    edges only: adj is a function of the two.
     """
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
     adj: tuple[tuple[int, ...], ...]
+    _hash: int = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.vertex_count, self.edges)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.vertex_count == other.vertex_count
+            and self.edges == other.edges
+        )
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])

@@ -152,6 +152,20 @@ def test_python_dash_m_runs_the_cli():
     assert done.returncode == 2 and done.stderr.startswith("error:")
 
 
+def test_verify_does_not_depend_on_asserts():
+    # python -O strips assert statements; the sweep must neither need them
+    # nor change its answer without them
+    plain, optimized = (
+        _run([*opt, "-m", "lgmult", "verify", "--max-n", "5"]) for opt in ((), ("-O",))
+    )
+    assert plain.returncode == optimized.returncode == 0
+    reports = [json.loads(done.stdout) for done in (plain, optimized)]
+    for report in reports:
+        report.pop("elapsed")
+    assert reports[0] == reports[1]
+    assert reports[0]["graphs_checked"] == 27
+
+
 @pytest.mark.parametrize("flag", ["--max-n=11", "--max-n=1", "--trees-to=14", "--low-cycle-to=12"])
 def test_verify_checks_every_cap_before_any_sweep(flag, capsys, monkeypatch):
     def no_sweep(*args, **kwargs):

@@ -296,6 +296,7 @@ def test_graph_from_rows_matches_build_graph():
         n = len(adj)
         built = build_graph(n, [(u, w) for u in range(n) for w in range(u + 1, n) if adj[u] >> w & 1])
         assert _graph(adj) == built == g
+        assert _graph(adj).adj == built.adj
 
 
 # sha256 over repr((vertex_count, edges)) of each graph of the labelled

@@ -1,8 +1,11 @@
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import cycle, cycle_plus_pendant, path, spider, star
-from lgmult.enumeration import enumerate_connected
+from lgmult.enumeration import _graph, enumerate_connected
 from lgmult.graphs import (
     DuplicateEdge,
     InvalidEdge,
@@ -193,3 +196,28 @@ def test_path_deletion_bookkeeping(g):
     assert after.cyclomatic == before.cyclomatic
     if not after.is_path and not after.is_cycle:
         assert after.pendant_count == before.pendant_count - 1
+
+
+def test_graph_hash_and_equality_contract():
+    # the memo tables key on graphs: equal graphs hash alike whichever
+    # constructor built them, and equality reads vertex_count and edges
+    for g in enumerate_connected(6, smallest=1):
+        n = g.vertex_count
+        rows = [0] * n
+        for u, v in g.edges:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        built = build_graph(n, g.edges)
+        direct = _graph(tuple(rows))
+        assert built is not direct
+        assert built == direct and hash(built) == hash(direct)
+        copy = pickle.loads(pickle.dumps(built))
+        assert copy == built and hash(copy) == hash(built) and copy.adj == built.adj
+    p3 = build_graph(3, [(0, 1), (1, 2)])
+    assert p3 != build_graph(4, [(0, 1), (1, 2)])
+    # edge ids are positions, so the edge order is part of the graph
+    assert p3 != build_graph(3, [(1, 2), (0, 1)])
+    assert p3 != p3.edges and p3 == build_graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(FrozenInstanceError):
+        p3.vertex_count = 4
+    assert "_hash" not in repr(p3)
