@@ -6,10 +6,11 @@ the right pendant distance, a tree with >= 3 pendants and congruent pendant
 distances, a tree with one or two congruent pendant cycles attached, two
 congruent cycles joined by an edge, or a tree with >= 3 congruent pendant
 cycles.  Lambda enters these conditions only through its root order n, so
-``_verdict`` states them once, per order, on the graph's lambda-free
-``_shape``: ``optimal_orders`` gives the orders that pass, and
-``optimal_certificate`` the certificate naming the shape, or NotOptimal with
-the first failed condition.
+``_verdict`` states them once, per order, on the graph's lambda-free Shape,
+which ``pendant_cycle_decompose`` computes once per graph in G's own labels:
+``optimal_orders`` gives the orders that pass, and ``optimal_certificate``
+the certificate naming the shape, or NotOptimal with the first failed
+condition.
 
 RecognizerRules exists for the test harness: it shifts the congruence
 constants so the verifier can prove the equivalence checks would catch a
@@ -31,7 +32,6 @@ from .graphs import (
     GraphError,
     bfs_distances,
     delete_edge,
-    induced_subgraph,
     multiplicity_bound,
     summarize,
 )
@@ -172,15 +172,15 @@ def lambda_candidates(g: Graph) -> list[Eigenvalue]:
 # tree-side certificates
 
 
-def _tree_facts(t: Graph) -> tuple[int, int, int]:
-    """(p, d0, gap) for a tree with at least one edge: its pendant count,
+def _tree_facts(g: Graph, pend: tuple[int, ...]) -> tuple[int, int, int]:
+    """(p, d0, gap) for a tree with at least one edge, given its pendants
+    and a graph g that holds it with the same distances: the pendant count,
     one pendant-pair distance d0, and the gcd of d - d0 over all pendant
     pairs.  Every pendant-pair distance is w (mod b) exactly when b | gap
     and d0 = w (mod b)."""
-    pend = summarize(t).pendant_vertices
     ds: list[int] = []
     for idx, u in enumerate(pend):
-        dist = bfs_distances(t, u)
+        dist = bfs_distances(g, u)
         ds.extend(dist[v] for v in pend[idx + 1 :])
     return len(pend), ds[0], gcd(*(d - ds[0] for d in ds))
 
@@ -221,101 +221,16 @@ def theorem31_conditions(lt_blocks: BlockStructure, lam: Eigenvalue) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# pendant-cycle decomposition
+# the lambda-free shape
 
 
 @dataclass(frozen=True)
-class CycleAttachment:
-    cycle_vertices: tuple[int, ...]
-    order: int
-    joining_edge: tuple[int, int]
-    tree_pendant: int
-
-
-@dataclass(frozen=True)
-class CycleDecomposition:
-    """G written as tree plus pendant cycles: ``tree`` is the remainder with
-    vertices relabeled densely, tree_map sends original labels into it, and
-    each attachment records one cycle with its joining edge (original
-    labels, major vertex first)."""
-
-    tree: Graph
-    tree_map: dict[int, int]
-    attachments: tuple[CycleAttachment, ...]
-
-
-@dataclass(frozen=True)
-class DecompositionFailure:
-    reason: str
-    cycle_orders: tuple[int, ...] = ()
-
-
-@lru_cache(maxsize=GRAPH_CACHE_SIZE)
-def pendant_cycle_decompose(g: Graph) -> CycleDecomposition | DecompositionFailure:
-    """Split a connected non-cycle graph with c >= 1 into a remainder tree
-    plus pendant cycles joined to distinct tree pendants.
-
-    Works per biconnected block: every block on >= 3 vertices must be an
-    induced cycle with exactly one vertex touching the rest of the graph,
-    that vertex of total degree 3, and the cycle's outside neighbor must be
-    a pendant vertex of the remainder, distinct per cycle.  The two-cycles
-    -plus-edge shape (empty remainder) is reported as a failure with reason
-    "two-cycles-edge" so the caller can route it to its own case.
-    """
-    s = summarize(g)
-    if not s.connected:
-        raise Disconnected("decomposition needs a connected graph")
-    if s.cyclomatic < 1:
-        raise GraphError("decomposition needs at least one cycle")
-    if s.is_cycle:
-        raise IsACycle("a bare cycle does not decompose")
-    cyclic = s.cyclic_blocks
-    bset = {b: set(b) for b in cyclic}
-    for b in cyclic:
-        if sum(u in bset[b] and v in bset[b] for u, v in g.edges) > len(b):
-            return DecompositionFailure("cycles-share-vertices")
-    # each cyclic block is now a single induced cycle
-    attachments = []
-    covered: set[int] = set()
-    for b in cyclic:
-        majors = [v for v in b if g.degree(v) > 2]
-        if len(majors) > 1:
-            return DecompositionFailure("cycle-multiple-majors")
-        if len(majors) == 0:
-            raise AssertionError("cycle block with no outside contact in a connected non-cycle graph")
-        u = majors[0]
-        if g.degree(u) != 3:
-            return DecompositionFailure("attachment-degree")
-        attachments.append((b, u, next(w for w in g.adj[u] if w not in bset[b])))
-        covered.update(b)
-    remainder = [v for v in range(g.vertex_count) if v not in covered]
-    orders = tuple(sorted(len(b) for b, _, _ in attachments))
-    if not remainder:
-        if len(cyclic) == 2:
-            return DecompositionFailure("two-cycles-edge", orders)
-        raise AssertionError("empty remainder is only reachable with two cycles")
-    targets = [y for _, _, y in attachments]
-    if any(y in covered for y in targets):
-        return DecompositionFailure("attachment-not-tree-pendant")
-    tree, relabel = induced_subgraph(g, remainder)
-    if any(tree.degree(relabel[y]) != 1 for y in targets):
-        return DecompositionFailure("attachment-not-tree-pendant")
-    if len(set(targets)) != len(targets):
-        return DecompositionFailure("attachment-collision")
-    att = tuple(CycleAttachment(b, len(b), (u, y), y) for b, u, y in attachments)
-    return CycleDecomposition(tree=tree, tree_map=relabel, attachments=att)
-
-
-# ---------------------------------------------------------------------------
-# the main dispatch
-
-
-@dataclass(frozen=True)
-class _Shape:
-    """The lambda-free facts of a graph that the recognizer reads: c,
-    the "shape:<reason>" of a failed decomposition ("" otherwise), the
-    cycle orders, and (p, d0, gap) of the tree part (G itself when c = 0,
-    None for two cycles joined by an edge)."""
+class Shape:
+    """The lambda-free facts of a graph that the recognizer reads, in G's
+    labels: c, the "shape:<reason>" of a graph that is not a tree plus
+    pendant cycles ("" otherwise), the cycle orders, the remainder tree's
+    vertices, the pendants the cycles hang from, and (p, d0, gap) of the
+    tree part (G itself when c = 0, None for two cycles and an edge)."""
 
     c: int
     failure: str = ""
@@ -326,7 +241,18 @@ class _Shape:
 
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
-def _shape(g: Graph) -> _Shape:
+def pendant_cycle_decompose(g: Graph) -> Shape:
+    """The Shape of a connected non-cycle graph with an edge: a tree, or a
+    remainder tree plus pendant cycles joined to distinct tree pendants.
+
+    Works per biconnected block: every block on >= 3 vertices must be an
+    induced cycle with exactly one vertex touching the rest of the graph,
+    that vertex of total degree 3, and the cycle's outside neighbor must be
+    a pendant vertex of the remainder, distinct per cycle.  Each cycle then
+    hangs from one bridge, so distances within the remainder are G's and
+    its pendants are G's plus the attachment points: the tree part is read
+    in G, with no subgraph built.
+    """
     if g.vertex_count == 0 or g.edge_count == 0:
         raise EmptyGraph("optimality needs a graph with at least one edge")
     s = summarize(g)
@@ -336,22 +262,44 @@ def _shape(g: Graph) -> _Shape:
         raise IsACycle("cycles are outside the characterization")
     c = s.cyclomatic
     if c == 0:
-        return _Shape(c, tree=_tree_facts(g))
-    dec = pendant_cycle_decompose(g)
-    if isinstance(dec, DecompositionFailure):
-        if dec.reason != "two-cycles-edge":
-            return _Shape(c, failure=f"shape:{dec.reason}")
-        return _Shape(c, cycle_orders=dec.cycle_orders)
-    return _Shape(
-        c,
-        cycle_orders=tuple(a.order for a in dec.attachments),
-        tree_vertices=tuple(sorted(dec.tree_map)),
-        attachment_pendants=tuple(a.tree_pendant for a in dec.attachments),
-        tree=_tree_facts(dec.tree),
-    )
+        return Shape(c, tree=_tree_facts(g, s.pendant_vertices))
+    cyclic = s.cyclic_blocks
+    if any(sum(u in b and v in b for u, v in g.edges) > len(b) for b in map(set, cyclic)):
+        return Shape(c, "shape:cycles-share-vertices")
+    # each cyclic block is now a single induced cycle
+    targets: list[int] = []
+    covered: set[int] = set()
+    for b in cyclic:
+        majors = [v for v in b if g.degree(v) > 2]
+        if len(majors) > 1:
+            return Shape(c, "shape:cycle-multiple-majors")
+        if len(majors) == 0:
+            raise AssertionError("cycle block with no outside contact in a connected non-cycle graph")
+        u = majors[0]
+        if g.degree(u) != 3:
+            return Shape(c, "shape:attachment-degree")
+        targets.append(next(w for w in g.adj[u] if w not in b))
+        covered.update(b)
+    orders = tuple(len(b) for b in cyclic)
+    remainder = tuple(v for v in range(g.vertex_count) if v not in covered)
+    if not remainder:
+        if len(cyclic) == 2:
+            return Shape(c, cycle_orders=tuple(sorted(orders)))
+        raise AssertionError("empty remainder is only reachable with two cycles")
+    # y's degree in the remainder is its degree in G less the cycles at y
+    if any(y in covered or g.degree(y) - targets.count(y) != 1 for y in targets):
+        return Shape(c, "shape:attachment-not-tree-pendant")
+    if len(set(targets)) != len(targets):
+        return Shape(c, "shape:attachment-collision")
+    pend = tuple(sorted({*s.pendant_vertices, *targets}))
+    return Shape(c, "", orders, remainder, tuple(targets), _tree_facts(g, pend))
 
 
-def _verdict(sh: _Shape, n: int, rules: RecognizerRules) -> str:
+# ---------------------------------------------------------------------------
+# the main dispatch
+
+
+def _verdict(sh: Shape, n: int, rules: RecognizerRules) -> str:
     """"" when every lambda of root order n (n odd: a even and b = n; n
     even: a odd and b = n/2) is optimal, else the first failed condition
     in NotOptimal's fixed order."""
@@ -379,12 +327,13 @@ def optimal_certificate(
 ) -> OptimalityCertificate:
     """Decide whether (g, lambda) matches one of the five optimal shapes.
 
-    ``_verdict`` decides at the root order of lambda from the graph's
-    lambda-free ``_shape``; an optimal pair gets the one certificate its
-    shape allows (c = 0, remainder emptiness and c <= 2 / c >= 3 are
-    mutually exclusive).  Only the parameters lam, i and k carry a itself.
+    ``_verdict`` decides at the root order of lambda from the graph's Shape,
+    looked up once in ``pendant_cycle_decompose``; an optimal pair gets the
+    one certificate its shape allows (c = 0, remainder emptiness and
+    c <= 2 / c >= 3 are mutually exclusive).  Only the parameters lam, i
+    and k carry a itself.
     """
-    sh = _shape(g)
+    sh = pendant_cycle_decompose(g)
     reason = _verdict(sh, lam.n, rules)
     if reason:
         return NotOptimal(lam, reason)
@@ -403,7 +352,7 @@ def optimal_certificate(
 def optimal_orders(g: Graph, rules: RecognizerRules = DEFAULT_RULES) -> frozenset[int]:
     """The root orders of candidate_pairs(|E(G)|) at which every lambda is
     optimal: ``_verdict`` once per order, with no certificate built."""
-    sh = _shape(g)
+    sh = pendant_cycle_decompose(g)
     return frozenset(n for n, _ in candidate_orders(g.edge_count) if not _verdict(sh, n, rules))
 
 

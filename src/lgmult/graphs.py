@@ -13,10 +13,11 @@ from typing import Iterable, NamedTuple
 
 # Entries kept by each bounded memo table: those keyed on a graph
 # (graphs.summarize, linegraph.line_graph, spectra.char_poly,
-# spectra._line_spectrum, certify.pendant_cycle_decompose and
-# certify._shape) and spectra.eig_classes, keyed on a characteristic
-# polynomial.  The checks of one graph reuse a handful of entries, so this
-# covers every reuse while a long sweep's memory stays bounded.
+# spectra._line_spectrum and certify.pendant_cycle_decompose, which holds
+# the recognizer's Shape) and spectra.eig_classes, keyed on a
+# characteristic polynomial.  The checks of one graph reuse a handful of
+# entries, so this covers every reuse while a long sweep's memory stays
+# bounded.
 GRAPH_CACHE_SIZE = 1024
 
 
@@ -266,18 +267,19 @@ def summarize(g: Graph) -> StructureSummary:
     bridges, cut vertices and cyclic blocks (3+ vertices) read off the blocks.
 
     The cyclomatic number is |E| - |V| + (number of components), which is the
-    usual c(G) whenever the graph is connected.  Results are memoized; Graph
-    is immutable so this is safe.
+    usual c(G) whenever the graph is connected; a component on k vertices
+    has blocks whose sizes less one sum to k - 1, so the blocks count the
+    components.  Results are memoized; Graph is immutable so this is safe.
     """
     degs = g.degrees()
-    comps = components(g)
-    connected = len(comps) <= 1
-    c = g.edge_count - g.vertex_count + len(comps)
+    n = g.vertex_count
+    blocks = biconnected_blocks(g)
+    comps = n - sum(len(b) - 1 for b in blocks)
+    connected = comps <= 1
+    c = g.edge_count - n + comps
     pend = tuple(v for v, d in enumerate(degs) if d == 1)
     major = tuple(v for v, d in enumerate(degs) if d >= 3)
-    n = g.vertex_count
     # a bridge is a two-vertex block; a cut vertex lies in two or more blocks
-    blocks = biconnected_blocks(g)
     in_blocks = [0] * n
     for b in blocks:
         for v in b:

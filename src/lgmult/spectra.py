@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .graphs import GRAPH_CACHE_SIZE, Graph, components, induced_subgraph
+from .graphs import GRAPH_CACHE_SIZE, Graph, components
 from .intpoly import (
     IntPoly,
     compress_palindrome,
@@ -244,20 +244,11 @@ def _is_path(g: Graph) -> bool:
 def char_poly(g: Graph) -> IntPoly:
     """Characteristic polynomial of the adjacency matrix, monic in Z[x].
 
-    Disconnected graphs multiply over components; a path takes its closed
-    form (much cheaper than the matrix route on long paths, and valid only
-    on a connected graph), every other component goes through
-    Faddeev-LeVerrier.  Memoized on the immutable Graph.
+    A path takes its closed form (much cheaper than the matrix route on
+    long paths); every other graph, connected or not, goes through
+    Faddeev-LeVerrier, which is exact on any graph.  Memoized on the
+    immutable Graph.
     """
-    if g.vertex_count == 0:
-        return IntPoly.one()
-    comps = components(g)
-    if len(comps) > 1:
-        acc = IntPoly.one()
-        for comp in comps:
-            sub, _ = induced_subgraph(g, comp)
-            acc = acc * char_poly(sub)
-        return acc
     if _is_path(g):
         return path_char_poly(g.vertex_count)
     return _char_poly_leverrier(g)

@@ -279,8 +279,9 @@ def check_graph(
 
 
 def _worker_count() -> int:
+    """LGMULT_WORKERS clamped to 1..cpu_count; 1 when unset or not an integer."""
     try:
-        return max(1, int(os.environ.get("LGMULT_WORKERS", "1")))
+        return max(1, min(int(os.environ.get("LGMULT_WORKERS", "1")), os.cpu_count() or 1))
     except ValueError:
         return 1
 

@@ -8,16 +8,16 @@ from hypothesis import strategies as st
 from conftest import cycle, cycle_plus_pendant, path, spider, star
 from lgmult.certify import (
     AttachedCycles,
-    CycleDecomposition,
-    DecompositionFailure,
     IsACycle,
     ManyCycles,
     NoQualifyingEdge,
     NotOptimal,
     PathCase,
     RecognizerRules,
+    Shape,
     TreeCase,
     TwoCyclesEdge,
+    _tree_facts,
     _tree_verdict,
     certificate_to_json,
     edge_reduction_probe,
@@ -29,8 +29,8 @@ from lgmult.certify import (
     theorem31_conditions,
 )
 from lgmult.enumeration import enumerate_connected
-from lgmult.families import make_B, make_theta, negative_corpus, realize, two_cycles_edge
-from lgmult.graphs import Disconnected, bfs_distances, build_graph, summarize
+from lgmult.families import make_B, make_theta, negative_corpus, positive_corpus, realize, two_cycles_edge
+from lgmult.graphs import Disconnected, bfs_distances, build_graph, induced_subgraph, summarize
 from lgmult.linegraph import EmptyGraph, block_structure, line_graph
 from lgmult.spectra import Eigenvalue, candidate_pairs, multiplicity
 from test_graphs import connected_graphs
@@ -98,47 +98,87 @@ def test_theorem31_conditions_examples():
 
 
 def test_decompose_cycle_with_pendant_path():
-    # C_4 with a two-edge tail: remainder is P_2
+    # C_4 with a two-edge tail: remainder P_2 on 4, 5, read in G's labels
     g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5)])
-    dec = pendant_cycle_decompose(g)
-    assert isinstance(dec, CycleDecomposition)
-    assert summarize(dec.tree).is_path and dec.tree.vertex_count == 2
-    (att,) = dec.attachments
-    assert att.order == 4 and att.tree_pendant == 4 and att.joining_edge == (0, 4)
+    sh = pendant_cycle_decompose(g)
+    assert sh.c == 1 and sh.failure == ""
+    assert sh.cycle_orders == (4,)
+    assert sh.attachment_pendants == (4,)
+    assert sh.tree_vertices == (4, 5)
+    assert sh.tree == (2, 1, 0)
 
 
 def test_decompose_rejects_theta():
-    theta = make_theta(2, 2, 2)
-    dec = pendant_cycle_decompose(theta)
-    assert isinstance(dec, DecompositionFailure)
-    assert dec.reason == "cycles-share-vertices"
+    sh = pendant_cycle_decompose(make_theta(2, 2, 2))
+    assert sh == Shape(2, "shape:cycles-share-vertices")
 
 
 def test_decompose_two_triangles_edge_is_special():
-    dec = pendant_cycle_decompose(two_cycles_edge(3, 3))
-    assert isinstance(dec, DecompositionFailure)
-    assert dec.reason == "two-cycles-edge"
-    assert dec.cycle_orders == (3, 3)
+    # no remainder: the cycle orders, and no tree part
+    sh = pendant_cycle_decompose(two_cycles_edge(3, 3))
+    assert sh == Shape(2, cycle_orders=(3, 3))
+    assert sh.tree is None
 
 
 def test_decompose_rejects_shared_cutpoint():
-    dec = pendant_cycle_decompose(make_B(4, 1, 4))
-    assert isinstance(dec, DecompositionFailure)
-    assert dec.reason in ("attachment-degree", "cycles-share-vertices")
+    sh = pendant_cycle_decompose(make_B(4, 1, 4))
+    assert sh.failure in ("shape:attachment-degree", "shape:cycles-share-vertices")
+
+
+def test_decompose_checks_the_attachment_points():
+    # two triangles hung from one vertex y = 6 that also has a tree edge:
+    # y keeps tree degree 1, so the collision check is the one that fails
+    g = build_graph(8, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 6), (3, 6), (6, 7)])
+    assert pendant_cycle_decompose(g) == Shape(2, "shape:attachment-collision")
+    # the cycle's outside neighbour is a leaf of G, so tree degree 0
+    assert pendant_cycle_decompose(cycle_plus_pendant(4)) == Shape(1, "shape:attachment-not-tree-pendant")
+
+
+def test_decompose_reads_a_tree_as_its_own_tree_part():
+    assert pendant_cycle_decompose(path(4)) == Shape(0, tree=(2, 3, 0))
+    assert pendant_cycle_decompose(spider(3, 2)) == Shape(0, tree=(3, 4, 0))
+    assert pendant_cycle_decompose(star(4)) == Shape(0, tree=(4, 2, 0))
+    with pytest.raises(IsACycle):
+        pendant_cycle_decompose(cycle(4))
+    with pytest.raises(Disconnected):
+        pendant_cycle_decompose(build_graph(4, [(0, 1), (2, 3)]))
+    with pytest.raises(EmptyGraph):
+        pendant_cycle_decompose(build_graph(1, []))
 
 
 @given(connected_graphs())
-def test_pendant_cycle_decompose_cycles_are_disjoint(g):
+def test_pendant_cycle_decompose_partitions_the_vertices(g):
     s = summarize(g)
     if s.cyclomatic == 0 or s.is_cycle:
         return
-    dec = pendant_cycle_decompose(g)
-    if isinstance(dec, DecompositionFailure):
+    sh = pendant_cycle_decompose(g)
+    if sh.failure:
         return
-    seen: set[int] = set()
-    for att in dec.attachments:
-        assert seen.isdisjoint(att.cycle_vertices)
-        seen.update(att.cycle_vertices)
+    # c disjoint cycles and the remainder tree cover G
+    assert len(sh.cycle_orders) == sh.c
+    assert sum(sh.cycle_orders) + len(sh.tree_vertices) == g.vertex_count
+    assert set(sh.attachment_pendants) <= set(sh.tree_vertices)
+
+
+def test_tree_part_read_in_g_equals_the_built_tree():
+    # each cycle hangs from one bridge, so G's distances and pendants are the
+    # tree's; the n <= 8 walk stops at c = 2, since three pendant cycles and
+    # a tree need more vertices
+    graphs = list(enumerate_connected(8, smallest=4, max_c=2))
+    graphs += [realize(spec) for spec in positive_corpus(200, 0) + negative_corpus(200, 0)]
+    checked = 0
+    for g in graphs:
+        s = summarize(g)
+        if s.cyclomatic == 0 or s.is_cycle:
+            continue
+        sh = pendant_cycle_decompose(g)
+        if not sh.tree_vertices:
+            continue
+        t, _ = induced_subgraph(g, sh.tree_vertices)
+        assert summarize(t).is_tree
+        assert sh.tree == _tree_facts(t, summarize(t).pendant_vertices), g
+        checked += 1
+    assert checked >= 216  # 16 from the walk, 200 attached_cycles specs
 
 
 def test_optimal_certificate_attached_cycle():
@@ -303,24 +343,26 @@ def _reference_certificate(g, lam, rules):
         return _reference_tree(g, lam, rules)
     if c >= 3 and lam.a % 2:
         return NotOptimal(lam=lam, reason="lambda-form")
-    dec = pendant_cycle_decompose(g)
+    failure = pendant_cycle_decompose(g).failure
+    if failure:
+        return NotOptimal(lam=lam, reason=failure)
+    # the cycles are the cyclic blocks; the tree part is what they leave
+    blocks = s.cyclic_blocks
+    orders = tuple(len(b) for b in blocks)
     mod = max(1, lam.n // 2) if rules.halve_cycle_modulus else lam.n
-    if isinstance(dec, DecompositionFailure):
-        if dec.reason != "two-cycles-edge":
-            return NotOptimal(lam=lam, reason=f"shape:{dec.reason}")
-        if any(o % mod for o in dec.cycle_orders):
-            return NotOptimal(lam=lam, reason="cycle-orders")
-        return TwoCyclesEdge(lam=lam, orders=dec.cycle_orders)
-    orders = tuple(a.order for a in dec.attachments)
     if any(o % mod for o in orders):
         return NotOptimal(lam=lam, reason="cycle-orders")
-    if not is_optimal(_reference_tree(dec.tree, lam, rules)):
+    covered = {v for b in blocks for v in b}
+    tree_vertices = tuple(v for v in range(g.vertex_count) if v not in covered)
+    if not tree_vertices:
+        return TwoCyclesEdge(lam=lam, orders=tuple(sorted(orders)))
+    tree, _ = induced_subgraph(g, tree_vertices)
+    if not is_optimal(_reference_tree(tree, lam, rules)):
         return NotOptimal(lam=lam, reason="tree-congruence")
-    if summarize(dec.tree).pendant_count < c:
+    if summarize(tree).pendant_count < c:
         return NotOptimal(lam=lam, reason="pendant-deficit")
-    tree_vertices = tuple(v for v in range(g.vertex_count) if v in dec.tree_map)
     if c <= 2:
-        pendants = tuple(a.tree_pendant for a in dec.attachments)
+        pendants = tuple(next(w for v in b for w in g.adj[v] if w not in b) for b in blocks)
         return AttachedCycles(
             lam=lam, tree_vertices=tree_vertices, cycle_orders=orders,
             attachment_pendants=pendants, c=c,

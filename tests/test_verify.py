@@ -1,3 +1,6 @@
+import hashlib
+import json
+import os
 import sys
 from functools import lru_cache
 
@@ -184,6 +187,16 @@ def test_worker_env_does_not_change_results(monkeypatch):
     assert serial == parallel
 
 
+def test_worker_count_is_clamped_to_the_cpu_count(monkeypatch):
+    # reads the environment only; no pool is started
+    cpus = os.cpu_count() or 1
+    for value, want in (("20000", cpus), ("2", min(2, cpus)), ("0", 1), ("-3", 1), ("two", 1)):
+        monkeypatch.setenv("LGMULT_WORKERS", value)
+        assert verify._worker_count() == want, value
+    monkeypatch.delenv("LGMULT_WORKERS")
+    assert verify._worker_count() == 1
+
+
 def test_report_serialization_shapes():
     report = verify_main_theorem(4)
     payload = report.to_json_dict()
@@ -208,6 +221,24 @@ RULE_SETS = (
     RecognizerRules(halve_cycle_modulus=True),
 )
 RULE_IDS = ("default", "path_residue_shift", "tree_residue_shift", "halve_cycle_modulus")
+
+# sha256 of the indented JSON report, elapsed aside, of verify_main_theorem(7)
+# under each of RULE_SETS, with its count of equivalence failures
+PINNED_REPORTS_7 = (
+    (0, "cc773dd16ad54b068f7902a194f7eec8c500a5f675965ac72ea5844b3b8ba721"),
+    (52, "acb0e7ead44dbbd1f4e580e5cbc4856a72a6d4b337c29d7cf7741c92220f9cc1"),
+    (9, "6d5394220e68a00d8ee2d0491d2b207f624a2eb4b77effc443da8f80fff5ecac"),
+    (7, "718736ee1f387d17d238fdc4d80b93ed28ed58d0b3835d3e8cecfb8150987153"),
+)
+
+
+@pytest.mark.parametrize("rules, pinned", zip(RULE_SETS, PINNED_REPORTS_7), ids=RULE_IDS)
+def test_report_bytes_are_pinned(rules, pinned):
+    payload = verify_main_theorem(7, rules).to_json_dict()
+    payload.pop("elapsed")
+    digest = hashlib.sha256(json.dumps(payload, indent=2).encode()).hexdigest()
+    assert (len(payload["equivalence_failures"]), digest) == pinned
+
 
 # one realized positive spec per structural case
 CASE_SPECS = (
