@@ -31,6 +31,8 @@ from .graphs import (
     Graph,
     GraphError,
     bfs_distances,
+    biconnected_blocks,
+    bridges,
     delete_edge,
     multiplicity_bound,
     summarize,
@@ -263,7 +265,7 @@ def pendant_cycle_decompose(g: Graph) -> Shape:
     c = s.cyclomatic
     if c == 0:
         return Shape(c, tree=_tree_facts(g, s.pendant_vertices))
-    cyclic = s.cyclic_blocks
+    cyclic = tuple(b for b in biconnected_blocks(g) if len(b) >= 3)
     if any(sum(u in b and v in b for u, v in g.edges) > len(b) for b in map(set, cyclic)):
         return Shape(c, "shape:cycles-share-vertices")
     # each cyclic block is now a single induced cycle
@@ -351,7 +353,13 @@ def optimal_certificate(
 
 def optimal_orders(g: Graph, rules: RecognizerRules = DEFAULT_RULES) -> frozenset[int]:
     """The root orders of candidate_pairs(|E(G)|) at which every lambda is
-    optimal: ``_verdict`` once per order, with no certificate built."""
+    optimal: ``_verdict`` once per order, with no certificate built.  A
+    graph in scope with 3c > |V(G)| has no c vertex-disjoint cycles of
+    order >= 3, so no order passes and its Shape is never built; a graph
+    out of scope raises from ``pendant_cycle_decompose``."""
+    s = summarize(g)
+    if s.connected and not s.is_cycle and 3 * s.cyclomatic > g.vertex_count:
+        return frozenset()
     sh = pendant_cycle_decompose(g)
     return frozenset(n for n, _ in candidate_orders(g.edge_count) if not _verdict(sh, n, rules))
 
@@ -381,10 +389,10 @@ def edge_reduction_probe(g: Graph, lam: Eigenvalue) -> ProbeReport:
     Their conjunction is equivalent to optimality of (g, lambda).
     """
     s = summarize(g)
-    bridges = set(s.bridges)
+    cut_edges = set(bridges(g))
     degs = g.degrees()
     edge = next(
-        (e for e in sorted(g.edges) if e not in bridges and max(degs[e[0]], degs[e[1]]) >= 3),
+        (e for e in sorted(g.edges) if e not in cut_edges and max(degs[e[0]], degs[e[1]]) >= 3),
         None,
     )
     if edge is None:

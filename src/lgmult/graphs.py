@@ -12,12 +12,12 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 # Entries kept by each bounded memo table: those keyed on a graph
-# (graphs.summarize, linegraph.line_graph, spectra.char_poly,
-# spectra._line_spectrum and certify.pendant_cycle_decompose, which holds
-# the recognizer's Shape) and spectra.eig_classes, keyed on a
-# characteristic polynomial.  The checks of one graph reuse a handful of
-# entries, so this covers every reuse while a long sweep's memory stays
-# bounded.
+# (graphs.summarize, graphs.biconnected_blocks, which holds the one block
+# pass, linegraph.line_graph, spectra.char_poly, spectra._line_spectrum and
+# certify.pendant_cycle_decompose, which holds the recognizer's Shape) and
+# spectra.eig_classes, keyed on a characteristic polynomial.  The checks of
+# one graph reuse a handful of entries, so this covers every reuse while a
+# long sweep's memory stays bounded.
 GRAPH_CACHE_SIZE = 1024
 
 
@@ -127,13 +127,7 @@ class StructureSummary:
     cyclomatic: int
     pendant_count: int
     pendant_vertices: tuple[int, ...]
-    major_vertices: tuple[int, ...]
-    bridges: tuple[tuple[int, int], ...]
-    cut_vertices: tuple[int, ...]
-    cyclic_blocks: tuple[tuple[int, ...], ...]
     is_cycle: bool
-    is_path: bool
-    is_tree: bool
 
 
 class PendantPath(NamedTuple):
@@ -198,10 +192,12 @@ def distance(g: Graph, u: int, v: int) -> int:
     return d
 
 
-def biconnected_blocks(g: Graph) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
+def biconnected_blocks(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Blocks (maximal biconnected pieces) as sorted vertex tuples, in sorted
     order; an isolated vertex is a block of its own.  One iterative
-    low-link traversal per component."""
+    low-link traversal per component, memoized: the recognizer, the bridge
+    readers and the line-graph block structure share it."""
     n = g.vertex_count
     disc = [-1] * n
     low = [0] * n
@@ -257,48 +253,34 @@ def biconnected_blocks(g: Graph) -> list[tuple[int, ...]]:
                             if (x, y) == (p, v):
                                 break
                         blocks.append(tuple(sorted(comp)))
-    blocks.sort()
-    return blocks
+    return tuple(sorted(blocks))
+
+
+def bridges(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The bridges, as the two-vertex blocks, in sorted order."""
+    return tuple(b for b in biconnected_blocks(g) if len(b) == 2)
 
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def summarize(g: Graph) -> StructureSummary:
-    """Connectivity, cyclomatic number, pendant/major vertices, and the
-    bridges, cut vertices and cyclic blocks (3+ vertices) read off the blocks.
+    """Connectivity, the cyclomatic number, the pendant vertices and whether
+    g is a cycle, from the degrees and one traversal of the components.
 
     The cyclomatic number is |E| - |V| + (number of components), which is the
-    usual c(G) whenever the graph is connected; a component on k vertices
-    has blocks whose sizes less one sum to k - 1, so the blocks count the
-    components.  Results are memoized; Graph is immutable so this is safe.
+    usual c(G) whenever the graph is connected.  Results are memoized; Graph
+    is immutable so this is safe.
     """
     degs = g.degrees()
     n = g.vertex_count
-    blocks = biconnected_blocks(g)
-    comps = n - sum(len(b) - 1 for b in blocks)
+    comps = len(components(g))
     connected = comps <= 1
-    c = g.edge_count - n + comps
     pend = tuple(v for v, d in enumerate(degs) if d == 1)
-    major = tuple(v for v, d in enumerate(degs) if d >= 3)
-    # a bridge is a two-vertex block; a cut vertex lies in two or more blocks
-    in_blocks = [0] * n
-    for b in blocks:
-        for v in b:
-            in_blocks[v] += 1
-    is_cycle = connected and n >= 3 and all(d == 2 for d in degs)
-    is_path = connected and (n == 1 or (len(pend) == 2 and not major))
-    is_tree = connected and c == 0
     return StructureSummary(
         connected=connected,
-        cyclomatic=c,
+        cyclomatic=g.edge_count - n + comps,
         pendant_count=len(pend),
         pendant_vertices=pend,
-        major_vertices=major,
-        bridges=tuple(b for b in blocks if len(b) == 2),
-        cut_vertices=tuple(v for v in range(n) if in_blocks[v] >= 2),
-        cyclic_blocks=tuple(b for b in blocks if len(b) >= 3),
-        is_cycle=is_cycle,
-        is_path=is_path,
-        is_tree=is_tree,
+        is_cycle=connected and n >= 3 and all(d == 2 for d in degs),
     )
 
 

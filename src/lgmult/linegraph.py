@@ -92,7 +92,7 @@ def block_structure(lt: Graph) -> BlockStructure:
     """Blocks of a connected graph plus the major/external classification."""
     if not is_connected(lt):
         raise Disconnected("block structure is defined here for connected graphs")
-    blocks = tuple(biconnected_blocks(lt))
+    blocks = biconnected_blocks(lt)
     containing: list[int] = [0] * lt.vertex_count
     for b in blocks:
         for v in b:

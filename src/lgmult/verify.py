@@ -16,7 +16,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 from typing import Any, Callable, Iterable, Sequence
 
 from .certify import (
@@ -33,6 +33,7 @@ from .enumeration import MAX_ENUM_VERTICES, MAX_TREE_VERTICES, enumerate_connect
 from .graphio import to_graph6
 from .graphs import (
     Graph,
+    bridges,
     build_graph,
     components,
     delete_edge,
@@ -234,14 +235,13 @@ def check_graph(
     if not s.connected or s.is_cycle or g.edge_count == 0:
         return report
     report.graphs_checked = 1
-    g6 = cache(lambda: to_graph6(g))  # only a recorded failure names g
     bound = multiplicity_bound(g)
 
     at_bound: set[int] = set()
     for cls in line_eig_classes(g):
         if cls.multiplicity > bound:
             report.bound_violations.append(
-                BoundViolation(g6(), cls.factor.coeffs, cls.multiplicity, bound)
+                BoundViolation(to_graph6(g), cls.factor.coeffs, cls.multiplicity, bound)
             )
         if cls.multiplicity == bound:
             residual = cls.factor
@@ -260,7 +260,7 @@ def check_graph(
             if residual.degree > 0:
                 report.lambda_form_failures.append(
                     LambdaFormFailure(
-                        g6(), cls.factor.coeffs, cls.multiplicity, residual.coeffs
+                        to_graph6(g), cls.factor.coeffs, cls.multiplicity, residual.coeffs
                     )
                 )
 
@@ -270,8 +270,9 @@ def check_graph(
         if (n in optimal) != (n in at_bound):
             cert = optimal_certificate(g, lams[0], rules)
             mult = multiplicity_in_poly(line_char_poly(g), lams[0])
+            g6 = to_graph6(g)
             report.equivalence_failures.extend(
-                EquivalenceFailure(g6(), lam, _verdict_string(cert), mult, bound)
+                EquivalenceFailure(g6, lam, _verdict_string(cert), mult, bound)
                 for lam in lams
             )
     report.equivalence_failures.sort(key=lambda f: (f.lam.b, f.lam.a))
@@ -387,11 +388,11 @@ def _check_bridge(
     multiplicity drops by one when u is removed, then removing the far
     endpoint v raises the whole graph's multiplicity by one.  Pairs
     where the hypothesis fails are counted as skips."""
-    s = summarize(g)
-    if not s.bridges:
+    cut_edges = bridges(g)
+    if not cut_edges:
         return
     g6 = to_graph6(g)
-    for u, v in s.bridges:
+    for u, v in cut_edges:
         cut = delete_edge(g, (u, v))
         for a, b in ((u, v), (v, u)):
             side_vertices = next(c for c in components(cut) if a in c)
@@ -560,7 +561,7 @@ def verify_lemmas(
 
     for _ in range(samples):
         g = _random_connected(rng, rng.randint(3, 9), rng.randint(0, 2))
-        while not summarize(g).bridges:
+        while not bridges(g):
             g = _random_connected(rng, rng.randint(3, 9), rng.randint(0, 2))
         _check_bridge(report, g, [rng.choice(small_pool)])
 

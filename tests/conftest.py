@@ -1,6 +1,6 @@
 """Shared constructors for the shapes the tests keep reaching for."""
 
-from lgmult.graphs import Graph, build_graph
+from lgmult.graphs import Graph, biconnected_blocks, build_graph, is_connected
 
 
 def path(n: int) -> Graph:
@@ -26,6 +26,24 @@ def spider(legs: int, leg_len: int) -> Graph:
             prev = v
             v += 1
     return build_graph(v, edges)
+
+
+def is_tree(g: Graph) -> bool:
+    return is_connected(g) and g.edge_count == g.vertex_count - 1
+
+
+def is_path(g: Graph) -> bool:
+    return is_tree(g) and all(d <= 2 for d in g.degrees())
+
+
+def cut_vertices(g: Graph) -> set[int]:
+    """The vertices that lie in two or more blocks."""
+    seen: set[int] = set()
+    cuts: set[int] = set()
+    for b in biconnected_blocks(g):
+        cuts.update(seen.intersection(b))
+        seen.update(b)
+    return cuts
 
 
 def cycle_plus_pendant(order: int) -> Graph:

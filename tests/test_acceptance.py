@@ -5,6 +5,8 @@ sweep of all connected non-cycle graphs on up to eight vertices, so the
 whole module stays inside the fifteen-minute single-core budget.
 """
 
+import hashlib
+import json
 import sys
 
 import pytest
@@ -76,10 +78,26 @@ def test_criterion_3_lambda_form(full_sweep):
     announce("3 bound-attaining eigenvalues all have the trig form", full_sweep.lambda_form_failures == [])
 
 
-def test_criterion_4_lemma_suite():
+@pytest.fixture(scope="module")
+def lemma_report():
+    return verify_lemmas(max_n=7, samples=1000, seed=0)
+
+
+def test_criterion_4_lemma_suite(lemma_report):
     congruence_failures = verify_congruence_laws(max_path=200, max_cycle=120, max_b=12)
-    lemma_report = verify_lemmas(max_n=7, samples=1000, seed=0)
     announce("4 congruence laws and reduction identities", congruence_failures == [] and lemma_report.passed)
+
+
+# sha256 of the indented JSON report, elapsed aside, as for the pinned sweep
+# reports of test_verify.py; 8,916 of its bridge pairs are skips
+PINNED_LEMMA_REPORT = "6b01e594b48bfc0532ee0dbc115b2b8ef206185ee7271d1a3e0560281ddbc1f9"
+
+
+def test_lemma_report_bytes_are_pinned(lemma_report):
+    payload = lemma_report.to_json_dict()
+    payload.pop("elapsed")
+    assert payload["lemma_skips"] == {"bridge": 8916}
+    assert hashlib.sha256(json.dumps(payload, indent=2).encode()).hexdigest() == PINNED_LEMMA_REPORT
 
 
 def test_criterion_5_oracle_agreement():

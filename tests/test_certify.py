@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import cycle, cycle_plus_pendant, path, spider, star
+from conftest import cycle, cycle_plus_pendant, is_tree, path, spider, star
 from lgmult.certify import (
     AttachedCycles,
     IsACycle,
@@ -19,6 +19,7 @@ from lgmult.certify import (
     TwoCyclesEdge,
     _tree_facts,
     _tree_verdict,
+    _verdict,
     certificate_to_json,
     edge_reduction_probe,
     is_optimal,
@@ -30,9 +31,17 @@ from lgmult.certify import (
 )
 from lgmult.enumeration import enumerate_connected
 from lgmult.families import make_B, make_theta, negative_corpus, positive_corpus, realize, two_cycles_edge
-from lgmult.graphs import Disconnected, bfs_distances, build_graph, induced_subgraph, summarize
+from lgmult.graphs import (
+    Disconnected,
+    bfs_distances,
+    biconnected_blocks,
+    bridges,
+    build_graph,
+    induced_subgraph,
+    summarize,
+)
 from lgmult.linegraph import EmptyGraph, block_structure, line_graph
-from lgmult.spectra import Eigenvalue, candidate_pairs, multiplicity
+from lgmult.spectra import Eigenvalue, candidate_orders, candidate_pairs, multiplicity
 from test_graphs import connected_graphs
 from test_verify import CASE_SPECS, RULE_IDS, RULE_SETS
 
@@ -175,7 +184,7 @@ def test_tree_part_read_in_g_equals_the_built_tree():
         if not sh.tree_vertices:
             continue
         t, _ = induced_subgraph(g, sh.tree_vertices)
-        assert summarize(t).is_tree
+        assert is_tree(t)
         assert sh.tree == _tree_facts(t, summarize(t).pendant_vertices), g
         checked += 1
     assert checked >= 216  # 16 from the walk, 200 attached_cycles specs
@@ -231,6 +240,35 @@ def test_optimal_certificate_many_cycles():
     assert cert.cycle_orders == (3, 3, 3)
     # the theorem's bound: 2c + p - 1 with p = 0
     assert multiplicity(line_graph(g).line, Eigenvalue(2, 3)) == 5
+
+
+def test_no_order_passes_when_3c_exceeds_n():
+    # passing with c >= 1 needs c vertex-disjoint cycles of order >= 3
+    graphs = list(enumerate_connected(8, smallest=3))
+    graphs += [realize(spec) for spec in positive_corpus(200, 0) + negative_corpus(200, 0)]
+    checked = 0
+    for g in graphs:
+        s = summarize(g)
+        if s.is_cycle or 3 * s.cyclomatic <= g.vertex_count:
+            continue
+        sh = pendant_cycle_decompose(g)
+        assert sh.failure, g
+        for rules in RULE_SETS:
+            assert all(_verdict(sh, n, rules) for n, _ in candidate_orders(g.edge_count)), g
+            assert optimal_orders(g, rules) == frozenset(), g
+        checked += 1
+    assert checked == 11_611  # 11,600 from the walk, 11 from the corpora
+
+
+def test_optimal_orders_rejects_graphs_out_of_scope():
+    # K4 + K1 has 3c = 9 > 5 vertices: the check for that must not answer first
+    k4_and_k1 = build_graph(5, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+    with pytest.raises(Disconnected):
+        optimal_orders(k4_and_k1)
+    with pytest.raises(IsACycle):
+        optimal_orders(cycle(5))
+    with pytest.raises(EmptyGraph):
+        optimal_orders(build_graph(1, []))
 
 
 def test_optimal_certificate_rejects_cycles_and_disconnected():
@@ -293,11 +331,10 @@ def test_optimal_graphs_have_no_adjacent_cycle_majors():
                 break
         if hit is None:
             continue
-        majors = set(s.major_vertices)
-        bridges = set(s.bridges)
+        cut_edges = set(bridges(g))
         for u, v in g.edges:
-            if u in majors and v in majors:
-                assert (u, v) in bridges
+            if g.degree(u) >= 3 and g.degree(v) >= 3:
+                assert (u, v) in cut_edges
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +384,7 @@ def _reference_certificate(g, lam, rules):
     if failure:
         return NotOptimal(lam=lam, reason=failure)
     # the cycles are the cyclic blocks; the tree part is what they leave
-    blocks = s.cyclic_blocks
+    blocks = tuple(b for b in biconnected_blocks(g) if len(b) >= 3)
     orders = tuple(len(b) for b in blocks)
     mod = max(1, lam.n // 2) if rules.halve_cycle_modulus else lam.n
     if any(o % mod for o in orders):

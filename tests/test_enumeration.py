@@ -6,7 +6,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import star
+from conftest import cut_vertices, is_tree, star
 from test_graphs import connected_graphs
 from lgmult.enumeration import (
     _automorphisms,
@@ -17,7 +17,7 @@ from lgmult.enumeration import (
     canonical_key,
     enumerate_connected,
 )
-from lgmult.graphs import build_graph, summarize
+from lgmult.graphs import build_graph, induced_subgraph, is_connected, summarize
 
 
 def otter_tree_counts(max_n):
@@ -85,7 +85,7 @@ def test_connected_counts(n, count):
 def test_tree_counts(n, count):
     trees = list(enumerate_connected(n, max_c=0))
     assert len(trees) == count == OTTER[n] == walk_counts(13, 0)[n]
-    assert all(summarize(t).is_tree for t in trees)
+    assert all(is_tree(t) for t in trees)
 
 
 @pytest.mark.parametrize(
@@ -101,7 +101,7 @@ def test_one_walk_counts_every_order():
     assert walk_counts(8) == CONNECTED
     assert all(summarize(g).connected for g in walk(8))
     assert walk_counts(13, 0) == OTTER
-    assert all(summarize(t).is_tree for t in walk(13, 0))
+    assert all(is_tree(t) for t in walk(13, 0))
     assert walk_counts(9, 1, 1) == UNICYCLIC
 
 
@@ -195,8 +195,11 @@ def test_every_connected_graph_has_one_canonical_deletion_orbit(g):
     orbit (every vertex with one rooted key)."""
     n = g.vertex_count
     adj = rows(g)
+    everyone = set(range(n))
+    cuts = cut_vertices(g)
+    assert cuts == {v for v in everyone if not is_connected(induced_subgraph(g, everyone - {v})[0])}
     accepted = set()
-    for v in set(range(n)) - set(summarize(g).cut_vertices):
+    for v in everyone - cuts:
         swap = {v: n - 1, n - 1: v}
         moved = build_graph(n, [(swap.get(a, a), swap.get(b, b)) for a, b in g.edges])
         if _is_canonical_deletion(rows(moved)):

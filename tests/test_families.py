@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import path as path_graph
+from conftest import is_tree, path as path_graph
 from lgmult.certify import is_optimal, lambda_candidates, optimal_certificate
 from lgmult.families import (
     CASE_TAGS,
@@ -66,7 +66,7 @@ def test_congruent_tree_pendant_pairs(ab, legs, steps, seed):
     lam = Eigenvalue(*ab)
     t = make_congruent_tree(lam, legs, steps, seed)
     s = summarize(t)
-    assert s.is_tree and s.pendant_count >= 3
+    assert is_tree(t) and s.pendant_count >= 3
     q = (lam.b - 1) // 2
     pend = s.pendant_vertices
     for u, v in itertools.combinations(pend, 2):

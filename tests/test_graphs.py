@@ -4,7 +4,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import cycle, cycle_plus_pendant, path, spider, star
+from conftest import cut_vertices, cycle, cycle_plus_pendant, is_path, is_tree, path, spider, star
 from lgmult.enumeration import _graph, enumerate_connected
 from lgmult.graphs import (
     DuplicateEdge,
@@ -12,6 +12,8 @@ from lgmult.graphs import (
     InvalidVertex,
     NotAPendantPath,
     Unreachable,
+    biconnected_blocks,
+    bridges,
     build_graph,
     components,
     delete_edge,
@@ -33,10 +35,9 @@ def test_build_graph_c4():
 def test_build_graph_star():
     g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
     s = summarize(g)
-    assert s.pendant_count == 3
-    assert s.major_vertices == (0,)
-    assert s.is_tree
-    assert s.cut_vertices == (0,)
+    assert s.pendant_count == 3 and s.cyclomatic == 0 and s.connected
+    assert is_tree(g) and not is_path(g)
+    assert cut_vertices(g) == {0}
 
 
 def test_build_graph_rejects_bad_edges():
@@ -55,29 +56,29 @@ def test_summarize_two_triangles_sharing_a_vertex():
     g = build_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
     s = summarize(g)
     assert s.cyclomatic == 2 and s.pendant_count == 0
-    assert s.cut_vertices == (2,)
-    assert not s.is_cycle and not s.is_tree
+    assert cut_vertices(g) == {2}
+    assert not s.is_cycle and not is_tree(g)
 
 
 def test_bridges_and_cut_vertices_match_deletion():
-    # reference definitions: deleting a bridge or a cut vertex adds a component
+    # reference definitions: deleting a bridge or a cut vertex adds a component;
+    # bridges(g) are the two-vertex blocks, cut vertices lie in >= 2 blocks
     disconnected = [
         build_graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)]),
         build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 1), (4, 5)]),
     ]
     graphs = list(enumerate_connected(7, smallest=1)) + disconnected
     for g in graphs:
-        s = summarize(g)
         base = len(components(g))
         everyone = set(range(g.vertex_count))
-        bridges = [e for e in g.edges if len(components(delete_edge(g, e))) > base]
+        bridges_by_deletion = [e for e in g.edges if len(components(delete_edge(g, e))) > base]
         cuts = [
             v
             for v in range(g.vertex_count)
             if len(components(induced_subgraph(g, everyone - {v})[0])) > base
         ]
-        assert s.bridges == tuple(sorted(bridges))
-        assert s.cut_vertices == tuple(cuts)
+        assert bridges(g) == tuple(sorted(bridges_by_deletion))
+        assert sorted(cut_vertices(g)) == cuts
 
 
 def test_distance_examples():
@@ -125,8 +126,7 @@ def test_delete_pendant_path_from_decorated_cycle():
 def test_delete_pendant_path_from_spider():
     g = spider(3, 2)
     h, _ = delete_pendant_path(g, pendant_paths(g)[0])
-    s = summarize(h)
-    assert s.is_path and h.vertex_count == 5
+    assert is_path(h) and h.vertex_count == 5
 
 
 def test_delete_pendant_path_rejects_foreign_path():
@@ -168,8 +168,35 @@ def test_cyclomatic_number_formula(g):
 @given(connected_graphs())
 def test_pendant_count_is_degree_one_count(g):
     s = summarize(g)
-    assert s.pendant_count == sum(1 for v in range(g.vertex_count) if g.degree(v) == 1)
-    assert set(s.major_vertices) == {v for v in range(g.vertex_count) if g.degree(v) >= 3}
+    assert s.pendant_vertices == tuple(v for v in range(g.vertex_count) if g.degree(v) == 1)
+    assert s.pendant_count == len(s.pendant_vertices)
+
+
+@st.composite
+def graphs_with_isolated_vertices(draw, max_n=8):
+    """Any simple graph on up to max_n vertices, plus up to two isolated ones."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=12)) if pairs else set()
+    return build_graph(n + draw(st.integers(0, 2)), sorted(edges))
+
+
+@given(graphs_with_isolated_vertices())
+def test_summarize_counts_match_components_and_degrees(g):
+    s = summarize(g)
+    comps = components(g)
+    degs = g.degrees()
+    assert s.connected == (len(comps) <= 1)
+    assert s.cyclomatic == g.edge_count - g.vertex_count + len(comps)
+    # the cycle space is the sum of the blocks' cycle spaces
+    assert s.cyclomatic == sum(
+        sum(u in b and v in b for u, v in g.edges) - len(b) + 1 for b in biconnected_blocks(g)
+    )
+    assert s.pendant_vertices == tuple(v for v in range(g.vertex_count) if degs[v] == 1)
+    assert s.pendant_count == len(s.pendant_vertices)
+    assert s.is_cycle == (
+        len(comps) == 1 and g.edge_count == g.vertex_count >= 3 and max(degs) == 2
+    )
 
 
 @given(connected_graphs(max_n=7))
@@ -194,7 +221,7 @@ def test_path_deletion_bookkeeping(g):
     h, _ = delete_pendant_path(g, paths[0])
     after = summarize(h)
     assert after.cyclomatic == before.cyclomatic
-    if not after.is_path and not after.is_cycle:
+    if not is_path(h) and not after.is_cycle:
         assert after.pendant_count == before.pendant_count - 1
 
 

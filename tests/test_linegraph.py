@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings
 
-from conftest import cycle, path, spider, star
+from conftest import cut_vertices, cycle, is_path, path, spider, star
 from lgmult.enumeration import canonical_key, enumerate_connected
 from lgmult.graphs import bfs_distances, build_graph, summarize
 from lgmult.linegraph import (
@@ -22,7 +22,7 @@ def vertex_block_distance(lt, v, b):
 
 def test_line_graph_of_path_and_cycle():
     m = line_graph(path(4))
-    assert summarize(m.line).is_path and m.line.vertex_count == 3
+    assert is_path(m.line) and m.line.vertex_count == 3
     m = line_graph(cycle(5))
     assert summarize(m.line).is_cycle and m.line.vertex_count == 5
 
@@ -120,7 +120,7 @@ def test_tree_line_graph_block_laws():
             for i, u in enumerate(b):
                 for v in b[i + 1 :]:
                     assert lt.has_edge(u, v)
-        for cut in summarize(lt).cut_vertices:
+        for cut in cut_vertices(lt):
             assert sum(1 for b in bs.blocks if cut in b) == 2
         assert len(bs.external_vertices) == summarize(t).pendant_count
 
