@@ -215,8 +215,8 @@ def gcd(f: IntPoly, g: IntPoly) -> IntPoly:
 _SQUAREFREE_PRIME = (1 << 30) - 35  # residues fit one digit of a Python int
 
 
-def _coprime_mod(f: IntPoly, g: IntPoly, p: int) -> bool:
-    """Whether gcd(f mod p, g mod p) is 1 in F_p[x], by Euclid on residue lists."""
+def _gcd_degree_mod(f: IntPoly, g: IntPoly, p: int) -> int:
+    """Degree of gcd(f mod p, g mod p) in F_p[x], by Euclid on residue lists."""
     a, b = [c % p for c in f.coeffs], [c % p for c in g.coeffs]
     while b:
         if not b[-1]:
@@ -228,26 +228,37 @@ def _coprime_mod(f: IntPoly, g: IntPoly, p: int) -> bool:
             for i, c in enumerate(b[:-1]):
                 a[top + i] = (a[top + i] - q * c) % p
         a, b = b, a
-    return bool(a) and a[0] != 0 and not any(a[1:])
+    while a and not a[-1]:
+        a.pop()
+    return len(a) - 1
 
 
-def squarefree_decomposition(f: IntPoly) -> list[tuple[IntPoly, int]]:
-    """Yun's algorithm: pairs (factor, multiplicity), factors pairwise coprime.
+def squarefree_decomposition(f: IntPoly, at_least: int = 1) -> list[tuple[IntPoly, int]]:
+    """Yun's algorithm: pairs (factor, multiplicity), factors pairwise
+    coprime, keeping only the multiplicities >= at_least.
 
     Only factors of positive degree are reported.  For monic input every
-    reported factor is monic and the product of factor**multiplicity
-    recovers the input.
+    reported factor is monic, and with at_least <= 1 the product of
+    factor**multiplicity recovers the input.
 
-    A monic f coprime to f' mod a prime p is squarefree, so it is [(f, 1)]
-    without Yun: if d**2 | f, deg d > 0, then d may be taken monic in Z[x]
-    (Gauss) and d | f', so d mod p, monic of degree deg d, divides both.
+    For monic f, let d be the degree of gcd(f mod p, f' mod p) for a prime
+    p, and D = gcd(f, f') over Q.  D is monic in Z[x] (Gauss), and D mod p,
+    monic of degree deg D, divides both reductions, so d >= deg D.  A
+    factor h of multiplicity k gives h**(k-1) | D, so deg D >= k - 1.
+    Hence d < at_least - 1 leaves no pair to report, and d = 0 makes f
+    squarefree, [(f, 1)], both without Yun (D. Y. Y. Yun, "On square-free
+    decomposition algorithms", SYMSAC 1976).
     """
     if f.is_zero:
         raise ValueError("squarefree decomposition of the zero polynomial")
     if f.degree == 0:
         return []
-    if f.is_monic and _coprime_mod(f, f.derivative(), _SQUAREFREE_PRIME):
-        return [(f, 1)]
+    if f.is_monic:
+        gcd_degree = _gcd_degree_mod(f, f.derivative(), _SQUAREFREE_PRIME)
+        if gcd_degree < at_least - 1:
+            return []
+        if gcd_degree == 0:
+            return [(f, 1)]
     out: list[tuple[IntPoly, int]] = []
     d = gcd(f, f.derivative())
     b = div_exact(f, d)
@@ -257,7 +268,8 @@ def squarefree_decomposition(f: IntPoly) -> list[tuple[IntPoly, int]]:
     while b.degree > 0:
         h = gcd(b, z)
         if h.degree > 0:
-            out.append((h, i))
+            if i >= at_least:
+                out.append((h, i))
             b = div_exact(b, h)
             z = div_exact(z, h)
         z = z - b.derivative()

@@ -171,6 +171,13 @@ def candidate_pairs(max_degree: int) -> tuple[Eigenvalue, ...]:
     return tuple(sorted(lams, key=lambda e: (e.b, e.a)))
 
 
+@lru_cache(maxsize=None)
+def candidate_count(max_degree: int) -> int:
+    """len(candidate_pairs(max_degree)), summed over candidate_orders without
+    building the sorted tuple."""
+    return sum(len(lams) for _, lams in candidate_orders(max_degree))
+
+
 # ---------------------------------------------------------------------------
 # characteristic polynomials
 
@@ -327,22 +334,26 @@ def _class_key(c: EigClass) -> tuple[int, int, tuple[int, ...]]:
 
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
-def eig_classes(f: IntPoly) -> tuple[EigClass, ...]:
-    """Squarefree split of f, sorted by descending multiplicity, then
-    degree, then coefficients."""
-    classes = [EigClass(h, m) for h, m in squarefree_decomposition(f) if h.degree > 0]
+def eig_classes(f: IntPoly, at_least: int = 1) -> tuple[EigClass, ...]:
+    """Squarefree split of f, only the classes of multiplicity >= at_least,
+    sorted by descending multiplicity, then degree, then coefficients."""
+    classes = [EigClass(h, m) for h, m in squarefree_decomposition(f, at_least)]
     classes.sort(key=_class_key)
     return tuple(classes)
 
 
-def line_eig_classes(g: Graph) -> tuple[EigClass, ...]:
-    """eig_classes(line_char_poly(g)), keyed by g, from the squarefree split
-    of R (degree at most n) alone: x + 2 has multiplicity exactly e in
-    R * (x+2)**e, so it joins the class of multiplicity e."""
+def line_eig_classes(g: Graph, at_least: int = 1) -> tuple[EigClass, ...]:
+    """The classes of eig_classes(line_char_poly(g)) with multiplicity
+    >= at_least, keyed by g, from the squarefree split of R (degree at most
+    n) alone: x + 2 has multiplicity exactly e in R * (x+2)**e, so it joins
+    the class of multiplicity e when e >= at_least.  A class h of R with
+    multiplicity k has k * deg h <= deg R, so R is split only when
+    deg R >= at_least."""
     r, e = _line_spectrum(g)
-    if not e:
-        return eig_classes(r)
-    factors = {c.multiplicity: c.factor for c in eig_classes(r)}
+    classes = eig_classes(r, at_least) if r.degree >= at_least else ()
+    if not e or e < at_least:
+        return classes
+    factors = {c.multiplicity: c.factor for c in classes}
     factors[e] = factors.get(e, IntPoly.one()) * _X_PLUS_2
     return tuple(sorted((EigClass(f, k) for k, f in factors.items()), key=_class_key))
 

@@ -47,7 +47,9 @@ from .intpoly import div_exact
 from .linegraph import block_structure, line_graph
 from .spectra import (
     Eigenvalue,
+    _order_lambdas,
     annihilator_dimensions,
+    candidate_count,
     candidate_orders,
     candidate_pairs,
     char_poly,
@@ -226,9 +228,12 @@ def check_graph(
     exactly when every lambda of that order attains the bound.  The
     recognizer side is ``optimal_orders``, which reads no multiplicity.
     Only an order where the two sets disagree gets a certificate and its
-    multiplicity counted, and yields one failure per lambda.  The classes
-    come from the n x n route of ``line_eig_classes``, so L(G) is never
-    built, and the full polynomial of L(G) only for such an order.
+    multiplicity counted, and yields one failure per lambda; the other
+    candidates are only counted, per edge count.  The classes come from
+    the n x n route of ``line_eig_classes``, so L(G) is never built, and
+    only those of multiplicity >= ``bound``, since a class below it is
+    neither a violation nor at the bound.  The full polynomial of L(G) is
+    built only for a disagreeing order.
     """
     report = VerificationReport()
     s = summarize(g)
@@ -238,7 +243,7 @@ def check_graph(
     bound = multiplicity_bound(g)
 
     at_bound: set[int] = set()
-    for cls in line_eig_classes(g):
+    for cls in line_eig_classes(g, bound):
         if cls.multiplicity > bound:
             report.bound_violations.append(
                 BoundViolation(to_graph6(g), cls.factor.coeffs, cls.multiplicity, bound)
@@ -264,17 +269,16 @@ def check_graph(
                     )
                 )
 
-    optimal = optimal_orders(g, rules)
-    for n, lams in candidate_orders(g.edge_count):
-        report.candidates_checked += len(lams)
-        if (n in optimal) != (n in at_bound):
-            cert = optimal_certificate(g, lams[0], rules)
-            mult = multiplicity_in_poly(line_char_poly(g), lams[0])
-            g6 = to_graph6(g)
-            report.equivalence_failures.extend(
-                EquivalenceFailure(g6, lam, _verdict_string(cert), mult, bound)
-                for lam in lams
-            )
+    report.candidates_checked = candidate_count(g.edge_count)
+    for n in optimal_orders(g, rules) ^ at_bound:
+        lams = _order_lambdas(n)
+        cert = optimal_certificate(g, lams[0], rules)
+        mult = multiplicity_in_poly(line_char_poly(g), lams[0])
+        g6 = to_graph6(g)
+        report.equivalence_failures.extend(
+            EquivalenceFailure(g6, lam, _verdict_string(cert), mult, bound)
+            for lam in lams
+        )
     report.equivalence_failures.sort(key=lambda f: (f.lam.b, f.lam.a))
     return report
 

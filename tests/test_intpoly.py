@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lgmult import intpoly, spectra
+from lgmult.graphs import multiplicity_bound
 from lgmult.intpoly import (
     IntPoly,
     compress_palindrome,
@@ -123,8 +124,9 @@ def test_gcd_divides_both(f, g):
 
 
 def _yun(f):
-    """squarefree_decomposition with the mod-p screen switched off."""
-    with mock.patch.object(intpoly, "_coprime_mod", lambda *_: False):
+    """squarefree_decomposition with the mod-p screen switched off: a gcd
+    degree of deg f passes neither floor, so every f goes through Yun."""
+    with mock.patch.object(intpoly, "_gcd_degree_mod", lambda f, g, p: f.degree):
         return squarefree_decomposition(f)
 
 
@@ -142,20 +144,71 @@ def test_screened_split_equals_yun_on_monic_products(f, g):
         assert squarefree_decomposition(h) == _yun(h)
 
 
+@given(monic_polys, monic_polys, st.integers(1, 8))
+def test_floored_split_equals_filtered_yun(f, g, k):
+    for h in (f * g, f * f * g, f * f * f * g):
+        assert squarefree_decomposition(h, k) == [(q, m) for q, m in _yun(h) if m >= k]
+        d = intpoly._gcd_degree_mod(h, h.derivative(), intpoly._SQUAREFREE_PRIME)
+        assert d >= gcd(h, h.derivative()).degree
+
+
+def test_gcd_degree_mod_examples():
+    p = intpoly._SQUAREFREE_PRIME
+    assert intpoly._gcd_degree_mod(P([-1, 0, 1]), P([1, 1]), p) == 1
+    assert intpoly._gcd_degree_mod(P([-1, 0, 1]), P([2, 1]), p) == 0
+    assert intpoly._gcd_degree_mod(P([1, 1]) * P([1, 1]) * P([3, 1]), P([1, 2, 1]), p) == 2
+    # mod 3, x^2 + 1 and x^2 + 3x + 4 are one polynomial
+    assert intpoly._gcd_degree_mod(P([1, 0, 1]), P([4, 3, 1]), 3) == 2
+    # g vanishes mod 3, and so does the leading coefficient of f
+    assert intpoly._gcd_degree_mod(P([1, 0, 1, 3]), P([3]), 3) == 2
+    assert intpoly._gcd_degree_mod(P([3]), P([3]), 3) == -1
+
+
 def test_screen_settles_the_squarefree_line_spectra_up_to_7_vertices():
-    passed = []
-    screen = intpoly._coprime_mod
+    degrees = []
+    screen = intpoly._gcd_degree_mod
 
     def spy(*args):
-        passed.append(screen(*args))
-        return passed[-1]
+        degrees.append(screen(*args))
+        return degrees[-1]
 
     rs = [spectra._line_spectrum(g)[0] for g in _checkable_graphs(7)]
-    with mock.patch.object(intpoly, "_coprime_mod", spy):
+    with mock.patch.object(intpoly, "_gcd_degree_mod", spy):
         for r in rs:
             assert squarefree_decomposition(r) == _yun(r)
-    assert (len(rs), len(passed), sum(passed)) == (990, 990, 607)
+    assert (len(rs), len(degrees), degrees.count(0)) == (990, 990, 607)
     assert sum(all(m == 1 for _, m in _yun(r)) for r in rs) == 607
+
+
+def test_floors_leave_ten_line_spectra_to_yun_up_to_7_vertices(monkeypatch):
+    # one entry [at_least, gcd degree, reached Yun] per split that
+    # line_eig_classes asks for, uncached, under check_graph's floor
+    splits = []
+    split, screen, integer_gcd = spectra.eig_classes.__wrapped__, intpoly._gcd_degree_mod, intpoly.gcd
+
+    def split_spy(f, at_least=1):
+        splits.append([at_least, None, False])
+        return split(f, at_least)
+
+    def screen_spy(*args):
+        splits[-1][1] = screen(*args)
+        return splits[-1][1]
+
+    def gcd_spy(*args):
+        splits[-1][2] = True
+        return integer_gcd(*args)
+
+    monkeypatch.setattr(spectra, "eig_classes", split_spy)
+    monkeypatch.setattr(intpoly, "_gcd_degree_mod", screen_spy)
+    monkeypatch.setattr(intpoly, "gcd", gcd_spy)
+    graphs = _checkable_graphs(7)
+    for g in graphs:
+        spectra.line_eig_classes(g, multiplicity_bound(g))
+    passed = [s for s in splits if s[1] == 0]
+    skipped = [s for s in splits if 0 < s[1] < s[0] - 1]
+    yun = [s for s in splits if s[1] >= s[0] - 1 and s[1] > 0]
+    assert not any(s[2] for s in passed + skipped) and all(s[2] for s in yun)
+    assert (len(graphs) - len(splits), len(passed), len(skipped), len(yun)) == (638, 247, 95, 10)
 
 
 def test_screen_needs_a_monic_polynomial(monkeypatch):

@@ -19,6 +19,7 @@ from lgmult.spectra import (
     NonCanonical,
     annihilator_dimension,
     annihilator_dimensions,
+    candidate_count,
     candidate_orders,
     candidate_pairs,
     char_poly,
@@ -34,7 +35,7 @@ from lgmult.spectra import (
     trig_min_poly,
 )
 from test_graphs import connected_graphs
-from test_verify import CASE_SPECS
+from test_verify import CASE_SPECS, _checkable_graphs
 
 P = IntPoly.from_coeffs
 
@@ -195,6 +196,15 @@ def test_line_routes_agree_on_small_graphs_and_families():
         assert_line_routes_agree(realize(spec))
 
 
+def test_line_eig_classes_with_a_floor_are_the_classes_at_or_above_it():
+    # every floor from 1 to m + 1 meets deg R and e for some graph, so an
+    # off-by-one at either floor, or at the gcd-degree floor, shows here
+    for g in (*_checkable_graphs(7), *(realize(spec) for spec in CASE_SPECS)):
+        full = line_eig_classes(g)
+        for k in range(1, g.edge_count + 2):
+            assert line_eig_classes(g, k) == tuple(c for c in full if c.multiplicity >= k), (g, k)
+
+
 @st.composite
 def graphs_with_bipartite_parts(draw):
     """Disjoint unions of isolated vertices, trees, even cycles and
@@ -270,6 +280,11 @@ def test_candidate_pairs_small_degree():
     assert {(1, 5), (2, 5), (3, 5), (4, 5)} <= deg2
     assert all(math.gcd(l.a, l.b) == 1 for l in candidate_pairs(8))
     assert all(l.degree <= 8 for l in candidate_pairs(8))
+
+
+def test_candidate_count_is_the_number_of_candidate_pairs():
+    for m in range(40):
+        assert candidate_count(m) == len(candidate_pairs(m)), m
 
 
 def test_candidate_pairs_sorted_and_monotone():
