@@ -17,6 +17,8 @@ P_L(G)(x) = (x+2)^(m-n) * det(xI - (Q - 2I)) (Cvetkovic, Rowlinson and
 Simic, Spectral Generalizations of Line Graphs, LMS Lecture Notes 314,
 2004, ch. 1).  One Faddeev-LeVerrier pass of degree n and one squarefree
 split of degree n then serve L(G), with the factor x + 2 carried apart.
+A caller that asks only for the classes of multiplicity at least k > n
+is mostly served by a rank of Q over GF(2), with no polynomial built.
 """
 
 from __future__ import annotations
@@ -283,6 +285,28 @@ def _line_spectrum(g: Graph) -> tuple[IntPoly, int]:
     return r, e
 
 
+def _gf2_rank_reaches(g: Graph, target: int) -> bool:
+    """Whether Q = D + A of g has rank at least ``target`` over GF(2).
+
+    XOR elimination on bitmask rows: row i is the neighbour mask of i,
+    plus bit i when deg i is odd, reduced by the rows kept so far (each
+    kept row lacks the leading bit of every earlier one).  It stops as
+    soon as ``target`` rows are kept.
+    """
+    if target <= 0:
+        return True
+    kept: list[int] = []
+    for i, nbrs in enumerate(g.adj):
+        row = sum(1 << w for w in nbrs) | (len(nbrs) & 1) << i
+        for k in kept:
+            row = min(row, row ^ k)
+        if row:
+            kept.append(row)
+            if len(kept) >= target:
+                return True
+    return False
+
+
 def line_char_poly(g: Graph) -> IntPoly:
     """Characteristic polynomial of the line graph L(g), keyed by g; 1 when
     g has no edges (L(g) then has no vertices).  L(g) itself is never built."""
@@ -348,7 +372,16 @@ def line_eig_classes(g: Graph, at_least: int = 1) -> tuple[EigClass, ...]:
     n) alone: x + 2 has multiplicity exactly e in R * (x+2)**e, so it joins
     the class of multiplicity e when e >= at_least.  A class h of R with
     multiplicity k has k * deg h <= deg R, so R is split only when
-    deg R >= at_least."""
+    deg R >= at_least.
+
+    Before R is built, the answer is () when n < at_least and the rank of
+    Q = D + A over GF(2) is at least m - at_least + 1.  A class of R has
+    multiplicity <= deg R <= n < at_least.  x + 2 has multiplicity
+    e = m - rank Q, and a nonzero r x r minor of Q mod 2 is a nonzero
+    integer minor, so rank Q >= rank_2 Q and e <= m - rank_2 Q < at_least.
+    A graph this does not settle takes the exact route above."""
+    if g.vertex_count < at_least and _gf2_rank_reaches(g, g.edge_count - at_least + 1):
+        return ()
     r, e = _line_spectrum(g)
     classes = eig_classes(r, at_least) if r.degree >= at_least else ()
     if not e or e < at_least:

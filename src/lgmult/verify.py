@@ -232,8 +232,9 @@ def check_graph(
     candidates are only counted, per edge count.  The classes come from
     the n x n route of ``line_eig_classes``, so L(G) is never built, and
     only those of multiplicity >= ``bound``, since a class below it is
-    neither a violation nor at the bound.  The full polynomial of L(G) is
-    built only for a disagreeing order.
+    neither a violation nor at the bound; when n < bound, a rank of Q over
+    GF(2) mostly shows that none is, before any polynomial is built.  The
+    full polynomial of L(G) is built only for a disagreeing order.
     """
     report = VerificationReport()
     s = summarize(g)

@@ -78,6 +78,17 @@ def test_criterion_3_lambda_form(full_sweep):
     announce("3 bound-attaining eigenvalues all have the trig form", full_sweep.lambda_form_failures == [])
 
 
+# sha256 of the indented JSON report of verify_main_theorem(8), elapsed
+# aside, as for the pinned n <= 7 reports of test_verify.py
+PINNED_SWEEP_REPORT_8 = "694a58ea9fe2841f737024975d6c8450b8c964d66bf1592d49112f5165044997"
+
+
+def test_sweep_report_bytes_are_pinned(full_sweep):
+    payload = full_sweep.to_json_dict()
+    payload.pop("elapsed")
+    assert hashlib.sha256(json.dumps(payload, indent=2).encode()).hexdigest() == PINNED_SWEEP_REPORT_8
+
+
 @pytest.fixture(scope="module")
 def lemma_report():
     return verify_lemmas(max_n=7, samples=1000, seed=0)

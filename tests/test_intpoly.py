@@ -182,9 +182,15 @@ def test_screen_settles_the_squarefree_line_spectra_up_to_7_vertices():
 
 def test_floors_leave_ten_line_spectra_to_yun_up_to_7_vertices(monkeypatch):
     # one entry [at_least, gcd degree, reached Yun] per split that
-    # line_eig_classes asks for, uncached, under check_graph's floor
-    splits = []
+    # line_eig_classes asks for, uncached, under check_graph's floor; the
+    # graphs the GF(2) rank settles never build their spectrum
+    splits, spectra_built = [], []
     split, screen, integer_gcd = spectra.eig_classes.__wrapped__, intpoly._gcd_degree_mod, intpoly.gcd
+    line_spectrum = spectra._line_spectrum
+
+    def spectrum_spy(g):
+        spectra_built.append(g)
+        return line_spectrum(g)
 
     def split_spy(f, at_least=1):
         splits.append([at_least, None, False])
@@ -198,6 +204,7 @@ def test_floors_leave_ten_line_spectra_to_yun_up_to_7_vertices(monkeypatch):
         splits[-1][2] = True
         return integer_gcd(*args)
 
+    monkeypatch.setattr(spectra, "_line_spectrum", spectrum_spy)
     monkeypatch.setattr(spectra, "eig_classes", split_spy)
     monkeypatch.setattr(intpoly, "_gcd_degree_mod", screen_spy)
     monkeypatch.setattr(intpoly, "gcd", gcd_spy)
@@ -208,7 +215,10 @@ def test_floors_leave_ten_line_spectra_to_yun_up_to_7_vertices(monkeypatch):
     skipped = [s for s in splits if 0 < s[1] < s[0] - 1]
     yun = [s for s in splits if s[1] >= s[0] - 1 and s[1] > 0]
     assert not any(s[2] for s in passed + skipped) and all(s[2] for s in yun)
-    assert (len(graphs) - len(splits), len(passed), len(skipped), len(yun)) == (638, 247, 95, 10)
+    settled_by_rank = len(graphs) - len(spectra_built)
+    settled_by_degree = len(spectra_built) - len(splits)
+    assert (settled_by_rank, settled_by_degree) == (632, 6)
+    assert (len(passed), len(skipped), len(yun)) == (247, 95, 10)
 
 
 def test_screen_needs_a_monic_polynomial(monkeypatch):

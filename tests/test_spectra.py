@@ -239,6 +239,48 @@ def test_line_routes_agree_on_disconnected_graphs(g):
     assert r(-2) != 0 and e >= 0
 
 
+def _gf2_rank_of_q(g):
+    """Rank of Q = D + A over GF(2), by column pivots on 0/1 lists."""
+    n = g.vertex_count
+    rows = [[(g.degree(i) if i == j else j in g.adj[i]) % 2 for j in range(n)] for i in range(n)]
+    rank = 0
+    for c in range(n):
+        piv = next((r for r in range(rank, n) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(n):
+            if r != rank and rows[r][c]:
+                rows[r] = [a ^ b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+K44 = build_graph(8, [(i, j) for i in range(4) for j in range(4, 8)])
+
+
+@settings(max_examples=150)
+@given(st.one_of(graphs_with_bipartite_parts(), connected_graphs()))
+@example(build_graph(0, []))
+@example(path(2))  # A mod 2 has rank 2, Q = [[1, 1], [1, 1]] has rank 1
+@example(K44)
+def test_gf2_rank_certificate_is_sound(g):
+    # the certificate reads rank_2 Q >= t as rank Q >= t, that is e <= m - t
+    rank2 = _gf2_rank_of_q(g)
+    e = spectra._line_spectrum(g)[1]
+    for t in range(g.vertex_count + 2):
+        reaches = spectra._gf2_rank_reaches(g, t)
+        assert reaches == (rank2 >= t), (g, t)
+        assert not reaches or t <= g.edge_count - e, (g, t)
+
+
+def test_certificate_keeps_a_class_above_the_vertex_count():
+    # x + 2 has multiplicity e = 16 - 7 = 9 > n = 8, and rank_2 Q = 2
+    x_plus_2 = spectra.EigClass(P([2, 1]), 9)
+    assert line_eig_classes(K44, 9) == (x_plus_2,)
+    assert line_eig_classes(K44, 10) == ()
+
+
 def test_multiplicity_examples():
     assert multiplicity(cycle(4), Eigenvalue(1, 2)) == 2
     assert multiplicity(path(3), Eigenvalue(1, 4)) == 1
