@@ -19,6 +19,12 @@ children that pass it have isomorphic parents, and parents are pairwise
 non-isomorphic by induction, so both come from the same parent.  There
 an isomorphism that maps v to v restricts to an automorphism of the
 parent that maps one neighbor set onto the other, and (2) keeps one.
+Ties in (1) are settled by orbits (McKay and Piperno, "Practical graph
+isomorphism, II", J. Symbolic Comput. 60 (2014) 94-112): a vertex in
+v's orbit under the child's automorphism group shares v's rooted key,
+so one search for the group, from the refinement cells, leaves rooted
+keys only to ties outside that orbit, and a child that passes hands the
+generators it found down to its own children.
 One walk gives every order up to n: each graph is yielded before its
 children, so the orders interleave, and nothing outlives its parent, so
 no level is held in memory.
@@ -57,12 +63,6 @@ MAX_TREE_VERTICES = 13
 MAX_CAPPED_VERTICES = 11
 
 
-def _neighbors(adj: tuple[int, ...]) -> list[list[int]]:
-    """Neighbor lists of bitmask rows."""
-    n = len(adj)
-    return [[w for w in range(n) if row >> w & 1] for row in adj]
-
-
 def _refine(nbrs: list[list[int]], colors: tuple[int, ...]) -> tuple[int, ...]:
     """Iterate neighbor-multiset color refinement to a fixed point.
 
@@ -70,11 +70,12 @@ def _refine(nbrs: list[list[int]], colors: tuple[int, ...]) -> tuple[int, ...]:
     neighbors' colors, which is held as counts in digits of ``width``
     bits.  The new colors are ranks of sorted signatures, so they refine
     the old colors in the same order and do not depend on the labeling;
-    the fixed point is reached when the number of colors stops growing."""
+    the fixed point is reached when the number of colors stops growing,
+    and a discrete coloring is one already."""
     n = len(nbrs)
     width = n.bit_length()
     classes = len(set(colors))
-    while True:
+    while classes < n:
         digit = [1 << width * c for c in colors]
         signatures = [
             sum(map(digit.__getitem__, nb), c << width * n)
@@ -86,6 +87,7 @@ def _refine(nbrs: list[list[int]], colors: tuple[int, ...]) -> tuple[int, ...]:
         ranks = {s: i for i, s in enumerate(distinct)}
         colors = tuple([ranks[s] for s in signatures])
         classes = len(distinct)
+    return colors
 
 
 def _leaf_order(colors: tuple[int, ...]) -> list[int]:
@@ -148,10 +150,10 @@ def _least_leaf(adj: tuple[int, ...], nbrs: list[list[int]], colors: tuple[int, 
     return min(_least_leaf(adj, nbrs, child) for child in node[1])
 
 
-def _canonical(adj: tuple[int, ...], colors: tuple[int, ...]) -> bytes:
+def _canonical(adj: tuple[int, ...], nbrs: list[list[int]], colors: tuple[int, ...]) -> bytes:
     """Canonical byte string of a vertex-colored graph given by bitmask
-    rows and colors ranked 0..k-1; equal exactly for color-preserving
-    isomorphic graphs.
+    rows, their neighbor lists and colors ranked 0..k-1; equal exactly
+    for color-preserving isomorphic graphs.
 
     Every vertex of a target cell but twins is branched on, so the set of
     leaf strings, and hence the least, is an isomorphism invariant.
@@ -159,7 +161,6 @@ def _canonical(adj: tuple[int, ...], colors: tuple[int, ...]) -> bytes:
     colors in sorted order; that list heads the key, or an edge colored
     (0, 0) and (0, 1) would share one.
     """
-    nbrs = _neighbors(adj)
     return bytes(sorted(colors)) + _least_leaf(adj, nbrs, _refine(nbrs, colors))
 
 
@@ -200,9 +201,12 @@ def _find_automorphisms(
     return on_path
 
 
-def _automorphisms(adj: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _automorphisms(
+    adj: tuple[int, ...], nbrs: list[list[int]], cells: tuple[int, ...]
+) -> list[tuple[int, ...]]:
     """Generators of the automorphism group of the graph adj, as vertex
-    maps p (u goes to p[u]).
+    maps p (u goes to p[u]), from its refinement cells
+    ``_refine(nbrs, (0,) * n)``.
 
     The search is _canonical's.  A leaf whose string equals the first
     leaf's gives the map from the first leaf's order to its own, and a
@@ -214,9 +218,8 @@ def _automorphisms(adj: tuple[int, ...]) -> list[tuple[int, ...]]:
     next path vertex to each vertex of its orbit, and the twin-pruned
     subtree of a vertex in that orbit still holds a leaf equal to the
     first, or that vertex is a twin of a branched one."""
-    nbrs = _neighbors(adj)
     gens: list[tuple[int, ...]] = []
-    _find_automorphisms(adj, nbrs, _refine(nbrs, (0,) * len(adj)), [], gens)
+    _find_automorphisms(adj, nbrs, cells, [], gens)
     return gens
 
 
@@ -226,12 +229,12 @@ def canonical_key(g: Graph) -> bytes:
     for u, v in g.edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return _canonical(tuple(adj), (0,) * g.vertex_count)
+    return _canonical(tuple(adj), g.adj, (0,) * g.vertex_count)
 
 
-def _rooted_key(adj: tuple[int, ...], v: int) -> bytes:
+def _rooted_key(adj: tuple[int, ...], nbrs: list[list[int]], v: int) -> bytes:
     """Canonical key of the graph with v as its one marked vertex."""
-    return _canonical(adj, tuple(int(w == v) for w in range(len(adj))))
+    return _canonical(adj, nbrs, tuple(int(w == v) for w in range(len(adj))))
 
 
 def _is_cut(adj: tuple[int, ...], v: int) -> bool:
@@ -247,44 +250,6 @@ def _is_cut(adj: tuple[int, ...], v: int) -> bool:
     return seen != rest
 
 
-def _is_canonical_deletion(adj: tuple[int, ...]) -> bool:
-    """Whether the last vertex v is a canonical deletable vertex of the
-    connected graph adj.
-
-    Cut-ness is tested only for vertices whose cheap invariant is at
-    most v's, and rooted keys are computed only when some vertex is
-    still tied with v after the refinement cells."""
-    n = len(adj)
-    v = n - 1
-    degs = [row.bit_count() for row in adj]
-
-    def cheap(u: int) -> tuple[int, list[int]]:
-        row = adj[u]
-        return degs[u], sorted([degs[w] for w in range(n) if row >> w & 1])
-
-    mine = cheap(v)
-    ties = []
-    for u in range(v):
-        if degs[u] > degs[v]:
-            continue
-        inv = cheap(u)
-        if inv > mine or (degs[u] > 1 and _is_cut(adj, u)):
-            continue
-        if inv < mine:
-            return False
-        ties.append(u)
-    if not ties:
-        return True
-    cells = _refine(_neighbors(adj), (0,) * n)
-    if any(cells[u] < cells[v] for u in ties):
-        return False
-    ties = [u for u in ties if cells[u] == cells[v]]
-    if not ties:
-        return True
-    key = _rooted_key(adj, v)
-    return all(_rooted_key(adj, u) >= key for u in ties)
-
-
 def _image(mask: int, p: tuple[int, ...]) -> int:
     """The vertex set mask under the vertex map p."""
     image = 0
@@ -295,22 +260,85 @@ def _image(mask: int, p: tuple[int, ...]) -> int:
     return image
 
 
-def _walk(parent: tuple[int, ...], n: int, max_c: int | None) -> Iterator[tuple[int, ...]]:
-    """Bitmask rows of parent and of its descendants on at most n
-    vertices in the canonical-deletion tree of connected graphs with
-    cyclomatic number at most max_c (None: no cap), depth first, each
-    graph before its children."""
-    yield parent
+def _orbit(mask: int, gens: list[tuple[int, ...]]) -> set[int]:
+    """The orbit of the vertex set mask under the group gens generate."""
+    orbit = {mask}
+    frontier = [mask]
+    for s in frontier:
+        for p in gens:
+            t = _image(s, p)
+            if t not in orbit:
+                orbit.add(t)
+                frontier.append(t)
+    return orbit
+
+
+def _is_canonical_deletion(
+    adj: tuple[int, ...], nbrs: list[list[int]]
+) -> tuple[bool, list[tuple[int, ...]] | None]:
+    """Whether the last vertex v is a canonical deletable vertex of the
+    connected graph adj with neighbor lists nbrs, and the generators of
+    its automorphism group if the test searched for them, else None.
+
+    Cut-ness is tested only for vertices whose cheap invariant is at
+    most v's.  If some vertex is still tied with v after the refinement
+    cells, one search from those cells gives the automorphism group, and
+    a tie in v's orbit shares v's rooted key, so rooted keys are
+    computed only for ties outside that orbit."""
+    n = len(adj)
+    v = n - 1
+    degs = [len(nb) for nb in nbrs]
+
+    def cheap(u: int) -> tuple[int, list[int]]:
+        return degs[u], sorted([degs[w] for w in nbrs[u]])
+
+    mine = cheap(v)
+    ties = []
+    for u in range(v):
+        if degs[u] > degs[v]:
+            continue
+        inv = cheap(u)
+        if inv > mine or (degs[u] > 1 and _is_cut(adj, u)):
+            continue
+        if inv < mine:
+            return False, None
+        ties.append(u)
+    if not ties:
+        return True, None
+    cells = _refine(nbrs, (0,) * n)
+    if any(cells[u] < cells[v] for u in ties):
+        return False, None
+    ties = [u for u in ties if cells[u] == cells[v]]
+    if not ties:
+        return True, None
+    gens = _automorphisms(adj, nbrs, cells)
+    orbit = _orbit(1 << v, gens)
+    rest = [_rooted_key(adj, nbrs, u) for u in ties if 1 << u not in orbit]
+    return not rest or min(rest) >= _rooted_key(adj, nbrs, v), gens
+
+
+def _walk(
+    parent: tuple[int, ...], nbrs: list[list[int]], gens: list[tuple[int, ...]] | None,
+    n: int, max_c: int | None,
+) -> Iterator[list[list[int]]]:
+    """Neighbor lists nbrs of the graph with bitmask rows parent and of
+    its descendants on at most n vertices in the canonical-deletion tree
+    of connected graphs with cyclomatic number at most max_c (None: no
+    cap), depth first, each graph before its children.  gens generate
+    Aut(parent), or are None if not yet found.  A child's lists are its
+    parent's with the new vertex appended."""
+    yield nbrs
     m = len(parent)
     if m == n:
         return
-    degs = [row.bit_count() for row in parent]
+    degs = [len(nb) for nb in nbrs]
     non_cut = [u for u in range(m) if degs[u] <= 1 or not _is_cut(parent, u)]
     top = min(m, min(degs[u] for u in non_cut) + 1)
     if max_c is not None:
         c = sum(degs) // 2 - m + 1
         top = min(top, max_c - c + 1)
-    gens = _automorphisms(parent)
+    if gens is None:
+        gens = _automorphisms(parent, nbrs, _refine(nbrs, (0,) * m))
     tried: set[int] = set()
     new = 1 << m
     for k in range(1, top + 1):
@@ -323,29 +351,24 @@ def _walk(parent: tuple[int, ...], n: int, max_c: int | None) -> Iterator[tuple[
             mask = base + sum(1 << u for u in extra)
             if mask in tried:
                 continue
-            tried.add(mask)
-            orbit = [mask]
-            for s in orbit:
-                for p in gens:
-                    t = _image(s, p)
-                    if t not in tried:
-                        tried.add(t)
-                        orbit.append(t)
+            tried |= _orbit(mask, gens)
             child = tuple(
                 row | new if mask >> u & 1 else row for u, row in enumerate(parent)
             ) + (mask,)
-            if _is_canonical_deletion(child):
-                yield from _walk(child, n, max_c)
+            child_nbrs = [nb + [m] if mask >> u & 1 else nb for u, nb in enumerate(nbrs)]
+            child_nbrs.append([u for u in range(m) if mask >> u & 1])
+            canonical, child_gens = _is_canonical_deletion(child, child_nbrs)
+            if canonical:
+                yield from _walk(child, child_nbrs, child_gens, n, max_c)
 
 
-def _graph(adj: tuple[int, ...]) -> Graph:
-    """The Graph of bitmask rows, built directly: the rows are symmetric
-    and loop-free, so the edges need no validation."""
-    nbrs = _neighbors(adj)
+def _graph(nbrs: list[list[int]]) -> Graph:
+    """The Graph of sorted neighbor lists, built directly: they are
+    symmetric and loop-free, so the edges need no validation."""
     # from a list: tuple() over a generator grows the tuple by resizing,
     # which left the peak RSS of the n <= 8 walk 1.6 MB higher
     edges = [(u, w) for u, nb in enumerate(nbrs) for w in nb if u < w]
-    return Graph(len(adj), tuple(edges), tuple(map(tuple, nbrs)))
+    return Graph(len(nbrs), tuple(edges), tuple(map(tuple, nbrs)))
 
 
 def enumerate_connected(
@@ -366,6 +389,6 @@ def enumerate_connected(
     limit = {None: MAX_ENUM_VERTICES, 0: MAX_TREE_VERTICES}.get(max_c, MAX_CAPPED_VERTICES)
     if not (1 <= n <= limit):
         raise ValueError(f"enumeration covers 1..{limit} vertices at max_c={max_c}, got {n}")
-    for adj in _walk((0,), n, max_c):
-        if len(adj) >= smallest:
-            yield _graph(adj)
+    for nbrs in _walk((0,), [[]], None, n, max_c):
+        if len(nbrs) >= smallest:
+            yield _graph(nbrs)

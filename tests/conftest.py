@@ -50,3 +50,9 @@ def cycle_plus_pendant(order: int) -> Graph:
     """C_order with one extra pendant edge at vertex 0."""
     edges = [(i, (i + 1) % order) for i in range(order)] + [(0, order)]
     return build_graph(order + 1, edges)
+
+
+def neighbors(adj: tuple[int, ...]) -> list[list[int]]:
+    """Neighbor lists of bitmask rows."""
+    n = len(adj)
+    return [[w for w in range(n) if row >> w & 1] for row in adj]

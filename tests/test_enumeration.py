@@ -2,17 +2,23 @@ import hashlib
 from collections import Counter
 from functools import lru_cache
 from itertools import permutations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cut_vertices, is_tree, star
+from conftest import cut_vertices, is_tree, neighbors, star
 from test_graphs import connected_graphs
+from lgmult import enumeration
 from lgmult.enumeration import (
     _automorphisms,
     _canonical,
     _graph,
+    _image,
     _is_canonical_deletion,
+    _is_cut,
+    _orbit,
+    _refine,
     _rooted_key,
     canonical_key,
     enumerate_connected,
@@ -44,6 +50,15 @@ def rows(g):
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return tuple(adj)
+
+
+def rooted_key(adj, v):
+    return _rooted_key(adj, neighbors(adj), v)
+
+
+def automorphisms(adj):
+    nbrs = neighbors(adj)
+    return _automorphisms(adj, nbrs, _refine(nbrs, (0,) * len(adj)))
 
 
 # connected graphs on 1..8 vertices (OEIS A001349)
@@ -167,13 +182,13 @@ def test_canonical_key_relabeling_invariant(g, rng):
 
 def test_rooted_key_separates_star_center_from_leaf():
     adj = rows(star(4))
-    assert _rooted_key(adj, 0) != _rooted_key(adj, 1)
-    assert _rooted_key(adj, 1) == _rooted_key(adj, 4)
+    assert rooted_key(adj, 0) != rooted_key(adj, 1)
+    assert rooted_key(adj, 1) == rooted_key(adj, 4)
 
 
 def test_colored_key_separates_color_classes():
     # one edge: its leaf string is the same however its ends are colored
-    assert _canonical((2, 1), (0, 0)) != _canonical((2, 1), (0, 1))
+    assert _canonical((2, 1), [[1], [0]], (0, 0)) != _canonical((2, 1), [[1], [0]], (0, 1))
 
 
 # Two K4s joined through a middle vertex: the middle vertex, a cut
@@ -202,11 +217,12 @@ def test_every_connected_graph_has_one_canonical_deletion_orbit(g):
     for v in everyone - cuts:
         swap = {v: n - 1, n - 1: v}
         moved = build_graph(n, [(swap.get(a, a), swap.get(b, b)) for a, b in g.edges])
-        if _is_canonical_deletion(rows(moved)):
+        moved_rows = rows(moved)
+        if _is_canonical_deletion(moved_rows, neighbors(moved_rows))[0]:
             accepted.add(v)
-    keys = {_rooted_key(adj, v) for v in accepted}
+    keys = {rooted_key(adj, v) for v in accepted}
     assert len(keys) == 1
-    assert accepted == {v for v in range(n) if _rooted_key(adj, v) in keys}
+    assert accepted == {v for v in range(n) if rooted_key(adj, v) in keys}
 
 
 @settings(max_examples=60)
@@ -219,8 +235,8 @@ def test_rooted_key_is_an_orbit_invariant(g, rng):
     rng.shuffle(perm)
     relabeled = rows(build_graph(n, [(perm[u], perm[v]) for u, v in g.edges]))
     adj = rows(g)
-    keys = [_rooted_key(adj, v) for v in range(n)]
-    assert [_rooted_key(relabeled, perm[v]) for v in range(n)] == keys
+    keys = [rooted_key(adj, v) for v in range(n)]
+    assert [rooted_key(relabeled, perm[v]) for v in range(n)] == keys
     edges = set(g.edges)
     autos = [
         p for p in permutations(range(n))
@@ -266,13 +282,13 @@ def assert_generators_give_the_group(adj):
     and two vertices share an orbit exactly when their rooted keys agree."""
     n = len(adj)
     edges = {(u, w) for u in range(n) for w in range(n) if adj[u] >> w & 1}
-    gens = _automorphisms(adj)
+    gens = automorphisms(adj)
     for p in gens:
         assert sorted(p) == list(range(n))
         assert {(p[u], p[w]) for u, w in edges} == edges
     group = group_closure(gens, n)
     assert len(group) == automorphism_count(adj)
-    keys = [_rooted_key(adj, v) for v in range(n)]
+    keys = [rooted_key(adj, v) for v in range(n)]
     for u in range(n):
         orbit = {h[u] for h in group}
         assert orbit == {w for w in range(n) if keys[w] == keys[u]}
@@ -298,8 +314,8 @@ def test_graph_from_rows_matches_build_graph():
         adj = rows(g)
         n = len(adj)
         built = build_graph(n, [(u, w) for u in range(n) for w in range(u + 1, n) if adj[u] >> w & 1])
-        assert _graph(adj) == built == g
-        assert _graph(adj).adj == built.adj
+        assert _graph(neighbors(adj)) == built == g
+        assert _graph(neighbors(adj)).adj == built.adj
 
 
 # sha256 over repr((vertex_count, edges)) of each graph of the labelled
@@ -320,3 +336,95 @@ def test_labelled_streams_are_pinned(top, max_c):
     for g in walk(top, max_c):
         h.update(repr((g.vertex_count, g.edges)).encode())
     assert h.hexdigest() == STREAM_DIGESTS[top, max_c]
+
+
+def reference_deletion(adj):
+    """The deletion test with every tie settled by rooted keys: the last
+    vertex v is accepted when no non-cut vertex is less by (degree,
+    sorted neighbor degrees, refinement cell), and no vertex tied with
+    it on those has a smaller rooted key."""
+    nbrs = neighbors(adj)
+    v = len(adj) - 1
+    cells = _refine(nbrs, (0,) * len(adj))
+
+    def cheap(u):
+        return len(nbrs[u]), sorted(len(nbrs[w]) for w in nbrs[u]), cells[u]
+
+    rivals = [u for u in range(v) if not _is_cut(adj, u)]
+    if any(cheap(u) < cheap(v) for u in rivals):
+        return False
+    key = rooted_key(adj, v)
+    return all(rooted_key(adj, u) >= key for u in rivals if cheap(u) == cheap(v))
+
+
+def assert_same_orbits(adj, gens):
+    """The maps are automorphisms of adj and give the vertex orbits of
+    the group _automorphisms finds."""
+    n = len(adj)
+    for p in gens:
+        assert sorted(p) == list(range(n))
+        assert all(_image(adj[u], p) == adj[p[u]] for u in range(n))
+    group = automorphisms(adj)
+    assert [_orbit(1 << v, gens) for v in range(n)] == [_orbit(1 << v, group) for v in range(n)]
+
+
+@lru_cache(maxsize=None)
+def recorded_walk(top, max_c=None):
+    """One walk over the orders 1..top, spied on: each deletion test as
+    (child rows, verdict, generators), each node as (rows, carried
+    neighbor lists, generators handed down)."""
+    tests, nodes = [], []
+    walk_, test_ = enumeration._walk, enumeration._is_canonical_deletion
+
+    def walk_spy(parent, nbrs, gens, n, max_c):
+        nodes.append((parent, [list(nb) for nb in nbrs], gens))
+        return walk_(parent, nbrs, gens, n, max_c)
+
+    def test_spy(adj, nbrs):
+        canonical, gens = test_(adj, nbrs)
+        tests.append((adj, canonical, gens))
+        return canonical, gens
+
+    with mock.patch.object(enumeration, "_walk", walk_spy), mock.patch.object(
+        enumeration, "_is_canonical_deletion", test_spy
+    ):
+        assert len(list(enumerate_connected(top, max_c, smallest=1))) == len(nodes)
+    return tests, nodes
+
+
+def test_orbit_tie_break_agrees_with_every_rooted_key_on_the_walk():
+    tests, nodes = recorded_walk(7)
+    assert len(tests) > len(nodes)
+    for adj, canonical, gens in tests:
+        assert canonical == reference_deletion(adj)
+        if gens is not None:
+            assert_same_orbits(adj, gens)
+    handed_down = [(adj, gens) for adj, _, gens in nodes if gens is not None]
+    assert handed_down
+    for adj, gens in handed_down:
+        assert_same_orbits(adj, gens)
+
+
+@settings(max_examples=60)
+@given(connected_graphs(max_n=8) | st.just(BARBELL), st.randoms(use_true_random=False))
+def test_orbit_tie_break_agrees_with_every_rooted_key_on_relabeled_graphs(g, rng):
+    n = g.vertex_count
+    perm = list(range(n))
+    rng.shuffle(perm)
+    g = build_graph(n, [(perm[u], perm[v]) for u, v in g.edges])
+    for v in set(range(n)) - cut_vertices(g):
+        swap = {v: n - 1, n - 1: v}
+        adj = rows(build_graph(n, [(swap.get(a, a), swap.get(b, b)) for a, b in g.edges]))
+        canonical, gens = _is_canonical_deletion(adj, neighbors(adj))
+        assert canonical == reference_deletion(adj)
+        if gens is not None:
+            assert_same_orbits(adj, gens)
+
+
+@pytest.mark.parametrize("top,max_c", [(7, None), (10, 0)])
+def test_walk_carries_neighbor_lists_and_refine_keeps_discrete_colorings(top, max_c):
+    _, nodes = recorded_walk(top, max_c)
+    for adj, nbrs, _ in nodes:
+        assert nbrs == neighbors(adj)
+        for discrete in (tuple(range(len(adj))), tuple(reversed(range(len(adj))))):
+            assert _refine(nbrs, discrete) is discrete
