@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
-from typing import ClassVar, Union
+from typing import ClassVar, Iterable, Union
 
 from .graphs import (
     GRAPH_CACHE_SIZE,
@@ -38,7 +38,7 @@ from .graphs import (
     summarize,
 )
 from .linegraph import BlockStructure, EmptyGraph, block_block_distance
-from .spectra import Eigenvalue, candidate_orders, candidate_pairs, line_char_poly, multiplicity_in_poly
+from .spectra import Eigenvalue, candidate_orders, candidate_pairs, line_multiplicities
 
 
 class IsACycle(GraphError):
@@ -380,11 +380,13 @@ class ProbeReport:
         return self.mult_drop_ok and self.sub_optimal_ok and self.pendant_increment_ok
 
 
-def edge_reduction_probe(g: Graph, lam: Eigenvalue) -> ProbeReport:
-    """Evaluate the three reduction conditions on the smallest cycle edge
-    incident to a major vertex: m_{L(G)} = m_{L(G-e)} + 1, the deleted
-    graph's line graph attains its own bound (read literally even when G-e
-    degenerates to a cycle), and p(G-e) = p(G) + 1.
+def edge_reduction_probe(g: Graph, lams: Iterable[Eigenvalue]) -> list[ProbeReport]:
+    """Evaluate the three reduction conditions at each lambda in ``lams``,
+    on the smallest cycle edge e incident to a major vertex:
+    m_{L(G)} = m_{L(G-e)} + 1, the deleted graph's line graph attains its
+    own bound (read literally even when G-e degenerates to a cycle), and
+    p(G-e) = p(G) + 1.  The edge, G-e, the R of G and of G-e, the bound of
+    G-e and the pendant increment are found once for all of ``lams``.
 
     Their conjunction is equivalent to optimality of (g, lambda).
     """
@@ -397,12 +399,11 @@ def edge_reduction_probe(g: Graph, lam: Eigenvalue) -> ProbeReport:
     )
     if edge is None:
         raise NoQualifyingEdge("no cycle edge incident to a major vertex")
+    lams = list(lams)
     reduced = delete_edge(g, edge)
-    m_g = multiplicity_in_poly(line_char_poly(g), lam)
-    m_r = multiplicity_in_poly(line_char_poly(reduced), lam)
-    return ProbeReport(
-        edge=edge,
-        mult_drop_ok=(m_g == m_r + 1),
-        sub_optimal_ok=(m_r == multiplicity_bound(reduced)),
-        pendant_increment_ok=(summarize(reduced).pendant_count == s.pendant_count + 1),
-    )
+    bound = multiplicity_bound(reduced)
+    pendant_ok = summarize(reduced).pendant_count == s.pendant_count + 1
+    return [
+        ProbeReport(edge, m_g == m_r + 1, m_r == bound, pendant_ok)
+        for m_g, m_r in zip(line_multiplicities(g, lams), line_multiplicities(reduced, lams))
+    ]

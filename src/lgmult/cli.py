@@ -30,9 +30,8 @@ from .linegraph import line_graph
 from .spectra import (
     Eigenvalue,
     NonCanonical,
-    line_char_poly,
+    line_multiplicities,
     multiplicity,
-    multiplicity_in_poly,
 )
 from .verify import (
     verify_congruence_laws,
@@ -125,7 +124,7 @@ def cmd_mult(args: argparse.Namespace) -> int:
             "graph6": to_graph6(g),
             "lambda": {"a": lam.a, "b": lam.b},
             "graph_multiplicity": multiplicity(g, lam),
-            "line_graph_multiplicity": multiplicity_in_poly(line_char_poly(g), lam),
+            "line_graph_multiplicity": line_multiplicities(g, [lam])[0],
             "line_graph_bound": multiplicity_bound(g) if covered else None,
             "minimal_polynomial": poly_to_json(lam.minimal_polynomial),
         }

@@ -11,13 +11,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-# Entries kept by each bounded memo table: those keyed on a graph
-# (graphs.summarize, graphs.biconnected_blocks, which holds the one block
-# pass, linegraph.line_graph, spectra.char_poly, spectra._line_spectrum and
-# certify.pendant_cycle_decompose, which holds the recognizer's Shape) and
-# spectra.eig_classes, keyed on a characteristic polynomial.  The checks of
-# one graph reuse a handful of entries, so this covers every reuse while a
-# long sweep's memory stays bounded.
+# Entries kept by each of the four memo tables keyed on a graph:
+# graphs.summarize, linegraph.line_graph, spectra.char_poly and
+# certify.pendant_cycle_decompose, which holds the recognizer's Shape.  The
+# checks of one graph reuse a handful of entries, so this covers every reuse
+# while a long sweep's memory stays bounded.
 GRAPH_CACHE_SIZE = 1024
 
 
@@ -192,12 +190,12 @@ def distance(g: Graph, u: int, v: int) -> int:
     return d
 
 
-@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def biconnected_blocks(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Blocks (maximal biconnected pieces) as sorted vertex tuples, in sorted
     order; an isolated vertex is a block of its own.  One iterative
-    low-link traversal per component, memoized: the recognizer, the bridge
-    readers and the line-graph block structure share it."""
+    low-link traversal per component, which the recognizer, the bridge
+    readers and the line-graph block structure share.  Not memoized: a
+    graph's blocks are seldom asked for twice."""
     n = g.vertex_count
     disc = [-1] * n
     low = [0] * n

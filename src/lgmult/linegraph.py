@@ -136,8 +136,7 @@ def block_block_distance(lt: Graph, b1: tuple[int, ...], b2: tuple[int, ...]) ->
         dist[u] = 0
     d = 0
     targets = set(b2)
-    best = min((0 for u in frontier if u in targets), default=None)
-    if best is not None:
+    if targets.intersection(frontier):
         return 0
     while frontier:
         d += 1

@@ -16,7 +16,8 @@ B^T B = A(L(G)) + 2I share their nonzero eigenvalues, so
 P_L(G)(x) = (x+2)^(m-n) * det(xI - (Q - 2I)) (Cvetkovic, Rowlinson and
 Simic, Spectral Generalizations of Line Graphs, LMS Lecture Notes 314,
 2004, ch. 1).  One Faddeev-LeVerrier pass of degree n and one squarefree
-split of degree n then serve L(G), with the factor x + 2 carried apart.
+split of degree n then serve L(G), with the factor x + 2 carried apart;
+a multiplicity at a lambda in (-2, 2) never needs that factor.
 A caller that asks only for the classes of multiplicity at least k > n
 is mostly served by a rank of Q over GF(2), with no polynomial built.
 """
@@ -266,9 +267,9 @@ def char_poly(g: Graph) -> IntPoly:
 _X_PLUS_2 = IntPoly((2, 1))
 
 
-@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _line_spectrum(g: Graph) -> tuple[IntPoly, int]:
-    """(R, e) with char_poly(L(g)) = R * (x+2)**e and R(-2) != 0, keyed by g.
+    """(R, e) with char_poly(L(g)) = R * (x+2)**e and R(-2) != 0; not
+    memoized, since a sweep meets each graph once.
 
     R is det(xI - (Q - 2I)) with every factor x + 2 divided out, and e is
     m - n plus the number divided out (the bipartite components of g, each
@@ -307,13 +308,6 @@ def _gf2_rank_reaches(g: Graph, target: int) -> bool:
     return False
 
 
-def line_char_poly(g: Graph) -> IntPoly:
-    """Characteristic polynomial of the line graph L(g), keyed by g; 1 when
-    g has no edges (L(g) then has no vertices).  L(g) itself is never built."""
-    r, e = _line_spectrum(g)
-    return r * IntPoly(tuple(math.comb(e, i) * 2 ** (e - i) for i in range(e + 1)))
-
-
 # ---------------------------------------------------------------------------
 # multiplicities and eigenvalue classes
 
@@ -343,6 +337,20 @@ def multiplicity(g: Graph, lam: Eigenvalue) -> int:
     return multiplicity_in_poly(char_poly(g), lam)
 
 
+def line_multiplicities(g: Graph, lams: Iterable[Eigenvalue]) -> list[int]:
+    """Multiplicity of each lambda in ``lams`` as an eigenvalue of L(g),
+    read off R alone.  Every lambda lies in (-2, 2), so its minimal
+    polynomial is coprime to x + 2 and divides char_poly(L(g)) =
+    R * (x+2)**e exactly as often as it divides R.  R is built once, and
+    the multiplicity, which depends on lambda only through its root order,
+    is computed once per order.  L(g) itself is never built."""
+    lams = list(lams)
+    r = _line_spectrum(g)[0]
+    first = {lam.n: lam for lam in reversed(lams)}
+    by_order = {n: multiplicity_in_poly(r, lam) for n, lam in first.items()}
+    return [by_order[lam.n] for lam in lams]
+
+
 @dataclass(frozen=True)
 class EigClass:
     """A squarefree factor of the characteristic polynomial with its
@@ -357,7 +365,6 @@ def _class_key(c: EigClass) -> tuple[int, int, tuple[int, ...]]:
     return (-c.multiplicity, c.factor.degree, c.factor.coeffs)
 
 
-@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def eig_classes(f: IntPoly, at_least: int = 1) -> tuple[EigClass, ...]:
     """Squarefree split of f, only the classes of multiplicity >= at_least,
     sorted by descending multiplicity, then degree, then coefficients."""
@@ -367,10 +374,10 @@ def eig_classes(f: IntPoly, at_least: int = 1) -> tuple[EigClass, ...]:
 
 
 def line_eig_classes(g: Graph, at_least: int = 1) -> tuple[EigClass, ...]:
-    """The classes of eig_classes(line_char_poly(g)) with multiplicity
-    >= at_least, keyed by g, from the squarefree split of R (degree at most
-    n) alone: x + 2 has multiplicity exactly e in R * (x+2)**e, so it joins
-    the class of multiplicity e when e >= at_least.  A class h of R with
+    """The classes of eig_classes(char_poly(L(g))) with multiplicity
+    >= at_least, from the squarefree split of R (degree at most n) alone:
+    x + 2 has multiplicity exactly e in R * (x+2)**e, so it joins the class
+    of multiplicity e when e >= at_least.  A class h of R with
     multiplicity k has k * deg h <= deg R, so R is split only when
     deg R >= at_least.
 

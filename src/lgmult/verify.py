@@ -17,7 +17,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from .certify import (
     DEFAULT_RULES,
@@ -54,8 +54,8 @@ from .spectra import (
     candidate_pairs,
     char_poly,
     cycle_char_poly,
-    line_char_poly,
     line_eig_classes,
+    line_multiplicities,
     multiplicity,
     multiplicity_in_poly,
     numeric_multiplicity,
@@ -233,8 +233,9 @@ def check_graph(
     the n x n route of ``line_eig_classes``, so L(G) is never built, and
     only those of multiplicity >= ``bound``, since a class below it is
     neither a violation nor at the bound; when n < bound, a rank of Q over
-    GF(2) mostly shows that none is, before any polynomial is built.  The
-    full polynomial of L(G) is built only for a disagreeing order.
+    GF(2) mostly shows that none is, before any polynomial is built.  A
+    disagreeing order, which only a failing graph has, reads its
+    multiplicity off R, so the full polynomial of L(G) is never built.
     """
     report = VerificationReport()
     s = summarize(g)
@@ -274,7 +275,7 @@ def check_graph(
     for n in optimal_orders(g, rules) ^ at_bound:
         lams = _order_lambdas(n)
         cert = optimal_certificate(g, lams[0], rules)
-        mult = multiplicity_in_poly(line_char_poly(g), lams[0])
+        [mult] = line_multiplicities(g, lams[:1])
         g6 = to_graph6(g)
         report.equivalence_failures.extend(
             EquivalenceFailure(g6, lam, _verdict_string(cert), mult, bound)
@@ -335,18 +336,6 @@ def verify_main_theorem(
 # reduction identities
 
 
-def _once_per_order(
-    lams: Iterable[Eigenvalue], fn: Callable[[Eigenvalue], Any]
-) -> dict[int, Any]:
-    """fn at one lambda of each root order, keyed by the order, for an fn
-    that sees lambda only through its minimal polynomial."""
-    out: dict[int, Any] = {}
-    for lam in lams:
-        if lam.n not in out:
-            out[lam.n] = fn(lam)
-    return out
-
-
 def _record(report: VerificationReport, name: str, detail: dict[str, Any]) -> None:
     report.lemma_failures.setdefault(name, []).append(LemmaFailure(name, detail))
 
@@ -364,15 +353,8 @@ def _check_path_deletion(
     if not paths:
         return
     h, _ = delete_pendant_path(g, paths[0])
-    f_g = line_char_poly(g)
-    f_h = line_char_poly(h)
     g6 = to_graph6(g)
-    mults = _once_per_order(
-        lams,
-        lambda lam: (multiplicity_in_poly(f_g, lam), multiplicity_in_poly(f_h, lam)),
-    )
-    for lam in lams:
-        m_g, m_h = mults[lam.n]
+    for lam, m_g, m_h in zip(lams, line_multiplicities(g, lams), line_multiplicities(h, lams)):
         if m_g > m_h + 1:
             _record(
                 report,
@@ -397,10 +379,11 @@ def _check_bridge(
     if not cut_edges:
         return
     g6 = to_graph6(g)
+    f_g = char_poly(g)
     for u, v in cut_edges:
-        cut = delete_edge(g, (u, v))
+        cut = components(delete_edge(g, (u, v)))
         for a, b in ((u, v), (v, u)):
-            side_vertices = next(c for c in components(cut) if a in c)
+            side_vertices = next(c for c in cut if a in c)
             side, _ = induced_subgraph(g, side_vertices)
             side_minus, _ = induced_subgraph(
                 g, [w for w in side_vertices if w != a]
@@ -410,7 +393,6 @@ def _check_bridge(
             )
             f_side = char_poly(side)
             f_side_minus = char_poly(side_minus)
-            f_g = char_poly(g)
             f_minus_b = char_poly(minus_b)
             for lam in lams:
                 m_side = multiplicity_in_poly(f_side, lam)
@@ -470,16 +452,10 @@ def _check_probe_equivalence(
     if not s.connected or s.is_cycle or s.cyclomatic == 0:
         return
     bound = multiplicity_bound(g)
-    f_line = line_char_poly(g)
     g6 = to_graph6(g)
-    verdicts = _once_per_order(
-        lams,
-        lambda lam: (
-            edge_reduction_probe(g, lam), multiplicity_in_poly(f_line, lam) == bound
-        ),
-    )
-    for lam in lams:
-        probe, optimal = verdicts[lam.n]
+    probes = edge_reduction_probe(g, lams)
+    for lam, probe, mult in zip(lams, probes, line_multiplicities(g, lams)):
+        optimal = mult == bound
         if optimal != probe.all_ok:
             _record(
                 report,

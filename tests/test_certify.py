@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import cycle, cycle_plus_pendant, is_tree, path, spider, star
+from lgmult import certify, spectra, verify
 from lgmult.certify import (
     AttachedCycles,
     IsACycle,
@@ -13,6 +14,7 @@ from lgmult.certify import (
     NoQualifyingEdge,
     NotOptimal,
     PathCase,
+    ProbeReport,
     RecognizerRules,
     Shape,
     TreeCase,
@@ -37,7 +39,10 @@ from lgmult.graphs import (
     biconnected_blocks,
     bridges,
     build_graph,
+    delete_edge,
     induced_subgraph,
+    is_connected,
+    multiplicity_bound,
     summarize,
 )
 from lgmult.linegraph import EmptyGraph, block_structure, line_graph
@@ -295,10 +300,10 @@ def test_is_optimal_and_json_shape():
 
 def test_probe_on_optimal_and_non_optimal():
     g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 5)])
-    rep = edge_reduction_probe(g, Eigenvalue(1, 2))
+    [rep] = edge_reduction_probe(g, [Eigenvalue(1, 2)])
     assert rep.all_ok and rep.mult_drop_ok and rep.sub_optimal_ok and rep.pendant_increment_ok
 
-    rep = edge_reduction_probe(make_B(4, 1, 4), Eigenvalue(1, 2))
+    [rep] = edge_reduction_probe(make_B(4, 1, 4), [Eigenvalue(1, 2)])
     assert not rep.all_ok
 
 
@@ -306,14 +311,78 @@ def test_probe_matches_optimality_on_theta():
     theta = make_theta(2, 2, 2)
     bound = 2 * 2 + 0 - 1
     for lam in lambda_candidates(theta):
-        probe = edge_reduction_probe(theta, lam)
+        [probe] = edge_reduction_probe(theta, [lam])
         optimal = multiplicity(line_graph(theta).line, lam) == bound
         assert probe.all_ok == optimal
 
 
 def test_probe_requires_qualifying_edge():
     with pytest.raises(NoQualifyingEdge):
-        edge_reduction_probe(path(4), Eigenvalue(1, 2))
+        edge_reduction_probe(path(4), [Eigenvalue(1, 2)])
+
+
+def _reference_probe(g, lam):
+    """The three reduction conditions at one lambda, on the smallest
+    non-bridge edge with an endpoint of degree >= 3, with both
+    multiplicities taken on the m x m line graphs."""
+    edge = next(
+        e for e in sorted(g.edges)
+        if is_connected(delete_edge(g, e)) and max(g.degree(e[0]), g.degree(e[1])) >= 3
+    )
+    reduced = delete_edge(g, edge)
+    m_g = multiplicity(line_graph(g).line, lam)
+    m_r = multiplicity(line_graph(reduced).line, lam)
+    return ProbeReport(
+        edge,
+        m_g == m_r + 1,
+        m_r == multiplicity_bound(reduced),
+        summarize(reduced).pendant_count == summarize(g).pendant_count + 1,
+    )
+
+
+def test_probe_matches_the_per_lambda_reference_up_to_6_vertices():
+    probed = 0
+    for g in enumerate_connected(6, smallest=3):
+        s = summarize(g)
+        if s.cyclomatic == 0:
+            continue
+        lams = candidate_pairs(g.edge_count)
+        if s.is_cycle:
+            with pytest.raises(NoQualifyingEdge):
+                edge_reduction_probe(g, lams)
+            continue
+        assert edge_reduction_probe(g, lams) == [_reference_probe(g, lam) for lam in lams], g
+        probed += 1
+    assert probed == 125
+
+
+def test_lemma_probe_reduces_each_graph_once(monkeypatch):
+    # one G - e and the two R's of G and G - e per probed graph, for all
+    # of its lambdas at once
+    probe, delete, spectrum = edge_reduction_probe, certify.delete_edge, spectra._line_spectrum
+    reductions, spectra_built, per_probe = [], [], []
+
+    def probe_spy(g, lams):
+        reductions.clear()
+        spectra_built.clear()
+        out = probe(g, lams)
+        per_probe.append((len(reductions), [h.edge_count for h in spectra_built]))
+        return out
+
+    def delete_spy(g, e):
+        reductions.append(g)
+        return delete(g, e)
+
+    def spectrum_spy(g):
+        spectra_built.append(g)
+        return spectrum(g)
+
+    monkeypatch.setattr(verify, "edge_reduction_probe", probe_spy)
+    monkeypatch.setattr(certify, "delete_edge", delete_spy)
+    monkeypatch.setattr(spectra, "_line_spectrum", spectrum_spy)
+    assert verify.verify_lemmas(5, samples=20).passed
+    assert len(per_probe) > 20
+    assert all(reduced == 1 and len(edges) == 2 and edges[0] == edges[1] + 1 for reduced, edges in per_probe)
 
 
 def test_optimal_graphs_have_no_adjacent_cycle_majors():

@@ -60,6 +60,14 @@ def test_mult_subcommand(capsys):
     jsonschema.validate(payload, load_schema("mult"))
     assert (payload["graph_multiplicity"], payload["line_graph_multiplicity"], payload["line_graph_bound"]) == (1, 0, 1)
 
+    # K_{2,3}: L(K_{2,3}) = K_2 x K_3 has spectrum 3, 1, 0, 0, -2, -2, so
+    # char_poly(L(G)) = R * (x+2)**2, and 0 is read off R alone
+    k23 = build_graph(5, [(i, j) for i in range(2) for j in range(2, 5)])
+    code, payload = run_json(capsys, ["mult", "--g6", to_graph6(k23), "--lambda", "1/2"])
+    assert code == 0
+    jsonschema.validate(payload, load_schema("mult"))
+    assert (payload["graph_multiplicity"], payload["line_graph_multiplicity"], payload["line_graph_bound"]) == (3, 2, 3)
+
 
 def test_check_optimal_and_not(capsys, tmp_path):
     g6 = to_graph6(build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 5)]))

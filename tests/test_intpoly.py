@@ -185,7 +185,7 @@ def test_floors_leave_ten_line_spectra_to_yun_up_to_7_vertices(monkeypatch):
     # line_eig_classes asks for, uncached, under check_graph's floor; the
     # graphs the GF(2) rank settles never build their spectrum
     splits, spectra_built = [], []
-    split, screen, integer_gcd = spectra.eig_classes.__wrapped__, intpoly._gcd_degree_mod, intpoly.gcd
+    split, screen, integer_gcd = spectra.eig_classes, intpoly._gcd_degree_mod, intpoly.gcd
     line_spectrum = spectra._line_spectrum
 
     def spectrum_spy(g):

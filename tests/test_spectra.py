@@ -25,8 +25,8 @@ from lgmult.spectra import (
     char_poly,
     cycle_char_poly,
     eig_classes,
-    line_char_poly,
     line_eig_classes,
+    line_multiplicities,
     multiplicity,
     multiplicity_in_poly,
     numeric_multiplicity,
@@ -175,18 +175,27 @@ def test_packed_leverrier_past_62_vertices():
     assert_kernel_matches_reference(g)
 
 
+def _line_char_poly(g):
+    """char_poly(L(g)) by the n x n route: R * (x+2)**e, expanded."""
+    r, e = spectra._line_spectrum(g)
+    return r * P([math.comb(e, i) * 2 ** (e - i) for i in range(e + 1)])
+
+
 def test_line_char_poly():
-    assert line_char_poly(build_graph(3, [])) == IntPoly.one()
+    assert _line_char_poly(build_graph(3, [])) == IntPoly.one()
     assert line_eig_classes(build_graph(3, [])) == ()
     for g in (path(5), cycle(4), star(3)):
-        assert line_char_poly(g) == char_poly(line_graph(g).line)
+        assert _line_char_poly(g) == char_poly(line_graph(g).line)
 
 
 def assert_line_routes_agree(g):
-    """The n x n route of Q - 2I against Faddeev-LeVerrier on A(L(g))."""
+    """The n x n route of Q - 2I against Faddeev-LeVerrier on A(L(g)), and
+    every candidate multiplicity read off R against the m x m route."""
     direct = spectra._char_poly_leverrier(line_graph(g).line) if g.edge_count else IntPoly.one()
-    assert line_char_poly(g) == direct
+    assert _line_char_poly(g) == direct
     assert line_eig_classes(g) == eig_classes(direct)
+    lams = candidate_pairs(g.edge_count)
+    assert line_multiplicities(g, lams) == [multiplicity_in_poly(direct, lam) for lam in lams]
 
 
 def test_line_routes_agree_on_small_graphs_and_families():

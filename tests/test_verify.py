@@ -7,7 +7,7 @@ from functools import lru_cache
 import pytest
 
 from conftest import cycle, path, star
-from lgmult import spectra, verify
+from lgmult import verify
 from lgmult.certify import DEFAULT_RULES, RecognizerRules, is_optimal, optimal_certificate
 from lgmult.enumeration import MAX_ENUM_VERTICES, MAX_TREE_VERTICES, enumerate_connected
 from lgmult.families import FamilySpec, realize, two_cycles_edge
@@ -347,7 +347,7 @@ def test_check_graph_never_builds_the_line_graph(monkeypatch):
     rule_sets = (DEFAULT_RULES, RecognizerRules(halve_cycle_modulus=True))
     want = [_without_elapsed(_reference_check_graph(g, rules)) for g in sample for rules in rule_sets]
     assert want[-2]["passed"] and not want[-2]["equivalence_failures"]
-    assert any(w["equivalence_failures"] for w in want)  # the mutation builds the full polynomial
+    assert any(w["equivalence_failures"] for w in want)  # the mutation reads a multiplicity off R
 
     def refuse(g):
         raise AssertionError("check_graph built a line graph")
@@ -355,6 +355,5 @@ def test_check_graph_never_builds_the_line_graph(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("lgmult") and getattr(module, "line_graph", None) is line_graph:
             monkeypatch.setattr(module, "line_graph", refuse)
-    spectra._line_spectrum.cache_clear()
     got = [_without_elapsed(check_graph(g, rules)) for g in sample for rules in rule_sets]
     assert got == want
