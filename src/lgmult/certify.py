@@ -380,13 +380,14 @@ class ProbeReport:
         return self.mult_drop_ok and self.sub_optimal_ok and self.pendant_increment_ok
 
 
-def edge_reduction_probe(g: Graph, lams: Iterable[Eigenvalue]) -> list[ProbeReport]:
-    """Evaluate the three reduction conditions at each lambda in ``lams``,
-    on the smallest cycle edge e incident to a major vertex:
-    m_{L(G)} = m_{L(G-e)} + 1, the deleted graph's line graph attains its
-    own bound (read literally even when G-e degenerates to a cycle), and
-    p(G-e) = p(G) + 1.  The edge, G-e, the R of G and of G-e, the bound of
-    G-e and the pendant increment are found once for all of ``lams``.
+def edge_reduction_probe(g: Graph, orders: Iterable[int]) -> dict[int, ProbeReport]:
+    """Evaluate the three reduction conditions at the eigenvalues of each
+    root order in ``orders``, keyed by order, on the smallest cycle edge e
+    incident to a major vertex: m_{L(G)} = m_{L(G-e)} + 1, the deleted
+    graph's line graph attains its own bound (read literally even when G-e
+    degenerates to a cycle), and p(G-e) = p(G) + 1.  The edge, G-e, the R
+    of G and of G-e, the bound of G-e and the pendant increment are found
+    once for all of ``orders``.
 
     Their conjunction is equivalent to optimality of (g, lambda).
     """
@@ -399,11 +400,12 @@ def edge_reduction_probe(g: Graph, lams: Iterable[Eigenvalue]) -> list[ProbeRepo
     )
     if edge is None:
         raise NoQualifyingEdge("no cycle edge incident to a major vertex")
-    lams = list(lams)
     reduced = delete_edge(g, edge)
     bound = multiplicity_bound(reduced)
     pendant_ok = summarize(reduced).pendant_count == s.pendant_count + 1
-    return [
-        ProbeReport(edge, m_g == m_r + 1, m_r == bound, pendant_ok)
-        for m_g, m_r in zip(line_multiplicities(g, lams), line_multiplicities(reduced, lams))
-    ]
+    m_g = line_multiplicities(g, orders)
+    m_r = line_multiplicities(reduced, m_g)
+    return {
+        n: ProbeReport(edge, m == m_r[n] + 1, m_r[n] == bound, pendant_ok)
+        for n, m in m_g.items()
+    }

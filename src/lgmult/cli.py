@@ -124,7 +124,7 @@ def cmd_mult(args: argparse.Namespace) -> int:
             "graph6": to_graph6(g),
             "lambda": {"a": lam.a, "b": lam.b},
             "graph_multiplicity": multiplicity(g, lam),
-            "line_graph_multiplicity": line_multiplicities(g, [lam])[0],
+            "line_graph_multiplicity": line_multiplicities(g, [lam.n])[lam.n],
             "line_graph_bound": multiplicity_bound(g) if covered else None,
             "minimal_polynomial": poly_to_json(lam.minimal_polynomial),
         }

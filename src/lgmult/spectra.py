@@ -337,18 +337,15 @@ def multiplicity(g: Graph, lam: Eigenvalue) -> int:
     return multiplicity_in_poly(char_poly(g), lam)
 
 
-def line_multiplicities(g: Graph, lams: Iterable[Eigenvalue]) -> list[int]:
-    """Multiplicity of each lambda in ``lams`` as an eigenvalue of L(g),
-    read off R alone.  Every lambda lies in (-2, 2), so its minimal
-    polynomial is coprime to x + 2 and divides char_poly(L(g)) =
-    R * (x+2)**e exactly as often as it divides R.  R is built once, and
-    the multiplicity, which depends on lambda only through its root order,
-    is computed once per order.  L(g) itself is never built."""
-    lams = list(lams)
+def line_multiplicities(g: Graph, orders: Iterable[int]) -> dict[int, int]:
+    """The multiplicity in L(g) of the eigenvalues of each root order in
+    ``orders``, keyed by order; every eigenvalue of one order shares its
+    minimal polynomial, and so its multiplicity.  Read off R alone: every
+    lambda lies in (-2, 2), so its minimal polynomial is coprime to x + 2
+    and divides char_poly(L(g)) = R * (x+2)**e exactly as often as it
+    divides R.  R is built once, and L(g) itself is never built."""
     r = _line_spectrum(g)[0]
-    first = {lam.n: lam for lam in reversed(lams)}
-    by_order = {n: multiplicity_in_poly(r, lam) for n, lam in first.items()}
-    return [by_order[lam.n] for lam in lams]
+    return {n: multiplicity_in_poly(r, _order_lambdas(n)[0]) for n in orders}
 
 
 @dataclass(frozen=True)
@@ -571,26 +568,25 @@ def _nullity_exact(g: Graph, n: int) -> int:
     return nullity
 
 
-def annihilator_dimensions(g: Graph, lams: Iterable[Eigenvalue]) -> list[int]:
+def annihilator_dimensions(g: Graph, orders: Iterable[int]) -> dict[int, int]:
     """Kernel dimension over Q(lambda) of A - lambda*I, that is the
-    eigenvalue multiplicity of lambda, for each lambda in ``lams``,
-    computed without reference to the characteristic polynomial.
+    eigenvalue multiplicity of lambda, for the eigenvalues of each root
+    order in ``orders``, keyed by order, computed without reference to the
+    characteristic polynomial.
 
-    The answer depends on lambda only through its root order, so it is
-    computed once per order: a modular screen certifies the frequent
-    full-rank orders together, and every other order goes through
-    _nullity_exact, the rank of one integer matrix of size
-    vertex_count * deg(Psi).
+    Conjugate eigenvalues share the kernel dimension: a modular screen
+    certifies the frequent full-rank orders together, and every other
+    order goes through _nullity_exact, the rank of one integer matrix of
+    size vertex_count * deg(Psi).
     """
-    lams = list(lams)
+    orders = list(orders)
     if not g.vertex_count:
-        return [0] * len(lams)
-    orders = sorted({lam.n for lam in lams})
+        return dict.fromkeys(orders, 0)
     full_rank = _screen_full_rank(g, orders)
-    by_order = {n: 0 if n in full_rank else _nullity_exact(g, n) for n in orders}
-    return [by_order[lam.n] for lam in lams]
+    return {n: 0 if n in full_rank else _nullity_exact(g, n) for n in orders}
 
 
 def annihilator_dimension(g: Graph, lam: Eigenvalue) -> int:
-    """annihilator_dimensions for a single lambda."""
-    return annihilator_dimensions(g, [lam])[0]
+    """The entry of annihilator_dimensions at the root order of lam: the
+    single-lambda name, which perfbench/layers.py traces."""
+    return annihilator_dimensions(g, [lam.n])[lam.n]

@@ -15,7 +15,7 @@ import math
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Any, Iterable, Sequence
 
@@ -75,54 +75,40 @@ def _lam_json(lam: Eigenvalue) -> dict[str, int]:
     return {"a": lam.a, "b": lam.b}
 
 
+class _FailureRecord:
+    """A failure of the main sweep; its JSON is its fields in order, with
+    ``lam`` written as "lambda": {"a", "b"} and tuples as lists."""
+
+    def to_json_dict(self) -> dict[str, Any]:
+        return {
+            "lambda" if k == "lam" else k: list(v) if isinstance(v, tuple) else v
+            for k, v in asdict(self).items()
+        }
+
+
 @dataclass(frozen=True)
-class BoundViolation:
+class BoundViolation(_FailureRecord):
     graph6: str
     factor: tuple[int, ...]
     multiplicity: int
     bound: int
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "graph6": self.graph6,
-            "factor": list(self.factor),
-            "multiplicity": self.multiplicity,
-            "bound": self.bound,
-        }
-
 
 @dataclass(frozen=True)
-class EquivalenceFailure:
+class EquivalenceFailure(_FailureRecord):
     graph6: str
     lam: Eigenvalue
     verdict: str
     multiplicity: int
     bound: int
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "graph6": self.graph6,
-            "lambda": _lam_json(self.lam),
-            "verdict": self.verdict,
-            "multiplicity": self.multiplicity,
-            "bound": self.bound,
-        }
-
 
 @dataclass(frozen=True)
-class LambdaFormFailure:
+class LambdaFormFailure(_FailureRecord):
     graph6: str
     factor: tuple[int, ...]
     multiplicity: int
     residual: tuple[int, ...]
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "graph6": self.graph6,
-            "factor": list(self.factor),
-            "multiplicity": self.multiplicity,
-            "residual": list(self.residual),
-        }
 
 
 @dataclass(frozen=True)
@@ -275,7 +261,7 @@ def check_graph(
     for n in optimal_orders(g, rules) ^ at_bound:
         lams = _order_lambdas(n)
         cert = optimal_certificate(g, lams[0], rules)
-        [mult] = line_multiplicities(g, lams[:1])
+        mult = line_multiplicities(g, [n])[n]
         g6 = to_graph6(g)
         report.equivalence_failures.extend(
             EquivalenceFailure(g6, lam, _verdict_string(cert), mult, bound)
@@ -345,25 +331,28 @@ def _skip(report: VerificationReport, name: str) -> None:
 
 
 def _check_path_deletion(
-    report: VerificationReport, g: Graph, lams: Sequence[Eigenvalue]
+    report: VerificationReport, g: Graph, lams: Sequence[Eigenvalue], m_g: dict[int, int]
 ) -> None:
     """Deleting a pendant path drops the line-graph multiplicity by at
-    most one."""
+    most one.  ``m_g`` is line_multiplicities of g at the root orders of
+    ``lams``; the check runs per order, and a failing order gives one
+    record per lambda."""
     paths = pendant_paths(g)
     if not paths:
         return
     h, _ = delete_pendant_path(g, paths[0])
-    g6 = to_graph6(g)
-    for lam, m_g, m_h in zip(lams, line_multiplicities(g, lams), line_multiplicities(h, lams)):
-        if m_g > m_h + 1:
+    m_h = line_multiplicities(h, m_g)
+    failing = {n for n, m in m_g.items() if m > m_h[n] + 1}
+    for lam in lams:
+        if lam.n in failing:
             _record(
                 report,
                 "path_deletion",
                 {
-                    "graph6": g6,
+                    "graph6": to_graph6(g),
                     "lambda": _lam_json(lam),
-                    "with_path": m_g,
-                    "without_path": m_h,
+                    "with_path": m_g[lam.n],
+                    "without_path": m_h[lam.n],
                 },
             )
 
@@ -373,12 +362,13 @@ def _check_bridge(
 ) -> None:
     """Bridge identity: if lam is an eigenvalue of the u-side whose
     multiplicity drops by one when u is removed, then removing the far
-    endpoint v raises the whole graph's multiplicity by one.  Pairs
-    where the hypothesis fails are counted as skips."""
+    endpoint v raises the whole graph's multiplicity by one.  The four
+    multiplicities are found once per root order of ``lams``; pairs where
+    the hypothesis fails are counted as skips, one per lambda."""
     cut_edges = bridges(g)
     if not cut_edges:
         return
-    g6 = to_graph6(g)
+    by_order = {lam.n: lam for lam in lams}
     f_g = char_poly(g)
     for u, v in cut_edges:
         cut = components(delete_edge(g, (u, v)))
@@ -394,17 +384,23 @@ def _check_bridge(
             f_side = char_poly(side)
             f_side_minus = char_poly(side_minus)
             f_minus_b = char_poly(minus_b)
-            for lam in lams:
+            held, failing = set(), set()
+            for n, lam in by_order.items():
                 m_side = multiplicity_in_poly(f_side, lam)
                 if m_side == 0 or m_side != multiplicity_in_poly(f_side_minus, lam) + 1:
-                    _skip(report, "bridge")
                     continue
+                held.add(n)
                 if multiplicity_in_poly(f_minus_b, lam) != multiplicity_in_poly(f_g, lam) + 1:
+                    failing.add(n)
+            for lam in lams:
+                if lam.n not in held:
+                    _skip(report, "bridge")
+                elif lam.n in failing:
                     _record(
                         report,
                         "bridge",
                         {
-                            "graph6": g6,
+                            "graph6": to_graph6(g),
                             "bridge": [a, b],
                             "lambda": _lam_json(lam),
                         },
@@ -444,26 +440,28 @@ def _check_path_absorption(
 
 
 def _check_probe_equivalence(
-    report: VerificationReport, g: Graph, lams: Sequence[Eigenvalue]
+    report: VerificationReport, g: Graph, lams: Sequence[Eigenvalue], mults: dict[int, int]
 ) -> None:
     """Optimality holds exactly when all three edge-reduction conditions
-    hold, for connected non-cycle graphs with a cycle."""
+    hold, for connected non-cycle graphs with a cycle.  ``mults`` is
+    line_multiplicities of g at the root orders of ``lams``; the check
+    runs per order, and a failing order gives one record per lambda."""
     s = summarize(g)
     if not s.connected or s.is_cycle or s.cyclomatic == 0:
         return
     bound = multiplicity_bound(g)
-    g6 = to_graph6(g)
-    probes = edge_reduction_probe(g, lams)
-    for lam, probe, mult in zip(lams, probes, line_multiplicities(g, lams)):
-        optimal = mult == bound
-        if optimal != probe.all_ok:
+    probes = edge_reduction_probe(g, mults)
+    failing = {n for n, probe in probes.items() if (mults[n] == bound) != probe.all_ok}
+    for lam in lams:
+        if lam.n in failing:
+            probe = probes[lam.n]
             _record(
                 report,
                 "probe_equivalence",
                 {
-                    "graph6": g6,
+                    "graph6": to_graph6(g),
                     "lambda": _lam_json(lam),
-                    "optimal": optimal,
+                    "optimal": mults[lam.n] == bound,
                     "probe": {
                         "edge": list(probe.edge),
                         "mult_drop_ok": probe.mult_drop_ok,
@@ -521,8 +519,9 @@ def verify_lemmas(
 
     for g in enumerate_connected(max_n, smallest=2):
         lams = candidate_pairs(g.edge_count)
-        _check_path_deletion(report, g, lams)
-        _check_probe_equivalence(report, g, lams)
+        mults = line_multiplicities(g, [n for n, _ in candidate_orders(g.edge_count)])
+        _check_path_deletion(report, g, lams, mults)
+        _check_probe_equivalence(report, g, lams, mults)
         report.graphs_checked += 1
         if g.vertex_count <= 6:
             _check_bridge(report, g, small_pool)
@@ -536,9 +535,8 @@ def verify_lemmas(
         g = _random_connected(rng, rng.randint(4, 9), rng.randint(0, 2))
         while not pendant_paths(g):
             g = _random_connected(rng, rng.randint(4, 9), rng.randint(0, 2))
-        _check_path_deletion(
-            report, g, _sample_candidates(rng, g.edge_count, 25)
-        )
+        lams = _sample_candidates(rng, g.edge_count, 25)
+        _check_path_deletion(report, g, lams, line_multiplicities(g, {lam.n for lam in lams}))
 
     for _ in range(samples):
         g = _random_connected(rng, rng.randint(3, 9), rng.randint(0, 2))
@@ -560,9 +558,8 @@ def verify_lemmas(
         g = _random_connected(rng, rng.randint(4, 9), rng.randint(1, 2))
         while summarize(g).is_cycle:
             g = _random_connected(rng, rng.randint(4, 9), rng.randint(1, 2))
-        _check_probe_equivalence(
-            report, g, _sample_candidates(rng, g.edge_count, 25)
-        )
+        lams = _sample_candidates(rng, g.edge_count, 25)
+        _check_probe_equivalence(report, g, lams, line_multiplicities(g, {lam.n for lam in lams}))
 
     for name in LEMMA_NAMES:
         report.lemma_failures.setdefault(name, [])
@@ -652,9 +649,9 @@ def cross_check_detail(g: Graph) -> list[dict[str, Any]]:
         n: multiplicity_in_poly(f, group[0])
         for n, group in candidate_orders(g.vertex_count)
     }
-    lams = candidate_pairs(g.vertex_count)
-    for lam, via_nullity in zip(lams, annihilator_dimensions(g, lams)):
-        via_poly = via_polys[lam.n]
+    via_nullities = annihilator_dimensions(g, via_polys)
+    for lam in candidate_pairs(g.vertex_count):
+        via_poly, via_nullity = via_polys[lam.n], via_nullities[lam.n]
         via_numeric = numeric_multiplicity(spectrum, lam)
         if via_poly != via_nullity or (
             via_numeric is not None and via_numeric != via_poly

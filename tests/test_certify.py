@@ -300,25 +300,25 @@ def test_is_optimal_and_json_shape():
 
 def test_probe_on_optimal_and_non_optimal():
     g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 5)])
-    [rep] = edge_reduction_probe(g, [Eigenvalue(1, 2)])
+    zero = Eigenvalue(1, 2).n
+    rep = edge_reduction_probe(g, [zero])[zero]
     assert rep.all_ok and rep.mult_drop_ok and rep.sub_optimal_ok and rep.pendant_increment_ok
 
-    [rep] = edge_reduction_probe(make_B(4, 1, 4), [Eigenvalue(1, 2)])
-    assert not rep.all_ok
+    assert not edge_reduction_probe(make_B(4, 1, 4), [zero])[zero].all_ok
 
 
 def test_probe_matches_optimality_on_theta():
     theta = make_theta(2, 2, 2)
     bound = 2 * 2 + 0 - 1
     for lam in lambda_candidates(theta):
-        [probe] = edge_reduction_probe(theta, [lam])
+        probe = edge_reduction_probe(theta, [lam.n])[lam.n]
         optimal = multiplicity(line_graph(theta).line, lam) == bound
         assert probe.all_ok == optimal
 
 
 def test_probe_requires_qualifying_edge():
     with pytest.raises(NoQualifyingEdge):
-        edge_reduction_probe(path(4), [Eigenvalue(1, 2)])
+        edge_reduction_probe(path(4), [Eigenvalue(1, 2).n])
 
 
 def _reference_probe(g, lam):
@@ -346,26 +346,29 @@ def test_probe_matches_the_per_lambda_reference_up_to_6_vertices():
         s = summarize(g)
         if s.cyclomatic == 0:
             continue
-        lams = candidate_pairs(g.edge_count)
+        orders = [n for n, _ in candidate_orders(g.edge_count)]
         if s.is_cycle:
             with pytest.raises(NoQualifyingEdge):
-                edge_reduction_probe(g, lams)
+                edge_reduction_probe(g, orders)
             continue
-        assert edge_reduction_probe(g, lams) == [_reference_probe(g, lam) for lam in lams], g
+        probes = edge_reduction_probe(g, orders)
+        assert list(probes) == orders
+        for lam in candidate_pairs(g.edge_count):
+            assert probes[lam.n] == _reference_probe(g, lam), (g, lam)
         probed += 1
     assert probed == 125
 
 
 def test_lemma_probe_reduces_each_graph_once(monkeypatch):
     # one G - e and the two R's of G and G - e per probed graph, for all
-    # of its lambdas at once
+    # of its root orders at once
     probe, delete, spectrum = edge_reduction_probe, certify.delete_edge, spectra._line_spectrum
     reductions, spectra_built, per_probe = [], [], []
 
-    def probe_spy(g, lams):
+    def probe_spy(g, orders):
         reductions.clear()
         spectra_built.clear()
-        out = probe(g, lams)
+        out = probe(g, orders)
         per_probe.append((len(reductions), [h.edge_count for h in spectra_built]))
         return out
 

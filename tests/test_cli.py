@@ -161,17 +161,18 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_verify_does_not_depend_on_asserts():
-    # python -O strips assert statements; the sweep must neither need them
-    # nor change its answer without them
-    plain, optimized = (
-        _run([*opt, "-m", "lgmult", "verify", "--max-n", "5"]) for opt in ((), ("-O",))
-    )
-    assert plain.returncode == optimized.returncode == 0
-    reports = [json.loads(done.stdout) for done in (plain, optimized)]
-    for report in reports:
-        report.pop("elapsed")
-    assert reports[0] == reports[1]
-    assert reports[0]["graphs_checked"] == 27
+    # python -O strips assert statements; the sweep and the reduction
+    # identities must neither need them nor change their answer without them
+    for extra, graphs in (((), 27), (("--lemmas", "--samples", "5"), 27 + 30)):
+        plain, optimized = (
+            _run([*opt, "-m", "lgmult", "verify", "--max-n", "5", *extra]) for opt in ((), ("-O",))
+        )
+        assert plain.returncode == optimized.returncode == 0
+        reports = [json.loads(done.stdout) for done in (plain, optimized)]
+        for report in reports:
+            report.pop("elapsed")
+        assert reports[0] == reports[1]
+        assert reports[0]["graphs_checked"] == graphs
 
 
 @pytest.mark.parametrize("flag", ["--max-n=11", "--max-n=1", "--trees-to=14", "--low-cycle-to=12"])

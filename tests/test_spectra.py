@@ -194,8 +194,9 @@ def assert_line_routes_agree(g):
     direct = spectra._char_poly_leverrier(line_graph(g).line) if g.edge_count else IntPoly.one()
     assert _line_char_poly(g) == direct
     assert line_eig_classes(g) == eig_classes(direct)
+    mults = line_multiplicities(g, [n for n, _ in candidate_orders(g.edge_count)])
     lams = candidate_pairs(g.edge_count)
-    assert line_multiplicities(g, lams) == [multiplicity_in_poly(direct, lam) for lam in lams]
+    assert [mults[lam.n] for lam in lams] == [multiplicity_in_poly(direct, lam) for lam in lams]
 
 
 def test_line_routes_agree_on_small_graphs_and_families():
@@ -409,7 +410,7 @@ def test_annihilator_dimension_examples():
     assert annihilator_dimension(c4, lam) == multiplicity(c4, lam) == 2
     # a stray positional argument is refused
     with pytest.raises(TypeError):
-        annihilator_dimensions(c4, [lam], [0])
+        annihilator_dimensions(c4, [lam.n], [0])
 
 
 def test_annihilator_dimension_without_screen_matches():
@@ -429,15 +430,15 @@ def test_annihilator_dimensions_match_char_poly():
     for g in enumerate_connected(6, smallest=1):
         lams = candidate_pairs(g.vertex_count)
         f = char_poly(g)
-        assert annihilator_dimensions(g, lams) == [multiplicity_in_poly(f, lam) for lam in lams]
+        dims = annihilator_dimensions(g, {lam.n for lam in lams})
+        assert [dims[lam.n] for lam in lams] == [multiplicity_in_poly(f, lam) for lam in lams]
 
 
 @settings(max_examples=40)
 @given(connected_graphs(max_n=7))
 def test_screened_batch_matches_unscreened(g):
-    lams = candidate_pairs(g.vertex_count)
-    exact = {n: spectra._nullity_exact(g, n) for n in {lam.n for lam in lams}}
-    assert annihilator_dimensions(g, lams) == [exact[lam.n] for lam in lams]
+    orders = [n for n, _ in candidate_orders(g.vertex_count)]
+    assert annihilator_dimensions(g, orders) == {n: spectra._nullity_exact(g, n) for n in orders}
 
 
 def test_screen_never_certifies_a_singular_matrix():
@@ -453,16 +454,18 @@ def test_screen_never_certifies_a_singular_matrix():
 def test_orders_too_large_for_int64_take_the_exact_route(monkeypatch):
     lams = candidate_pairs(10)
     want = [multiplicity(PETERSEN, lam) for lam in lams]
+    orders = [n for n, _ in candidate_orders(10)]
     monkeypatch.setattr(spectra, "_SCREEN_PRIME_LIMIT", 2)
-    assert spectra._screen_full_rank(PETERSEN, sorted({lam.n for lam in lams})) == set()
-    assert annihilator_dimensions(PETERSEN, lams) == want
+    assert spectra._screen_full_rank(PETERSEN, orders) == set()
+    dims = annihilator_dimensions(PETERSEN, orders)
+    assert [dims[lam.n] for lam in lams] == want
 
 
 def test_screen_blocks_agree_with_one_stack(monkeypatch):
-    lams = candidate_pairs(10)
-    whole = annihilator_dimensions(PETERSEN, lams)
+    orders = [n for n, _ in candidate_orders(10)]
+    whole = annihilator_dimensions(PETERSEN, orders)
     monkeypatch.setattr(spectra, "_SCREEN_BLOCK_ENTRIES", 1)
-    assert annihilator_dimensions(PETERSEN, lams) == whole
+    assert annihilator_dimensions(PETERSEN, orders) == whole
 
 
 def test_exact_route_on_dense_graphs():

@@ -206,6 +206,70 @@ def test_report_serialization_shapes():
     assert "PASS" in table and "graphs checked" in table
 
 
+def test_failure_records_serialize_field_by_field():
+    # no passing sweep emits a bound violation or a lambda-form failure, so
+    # no pinned digest covers their JSON: pin its keys, order and types here
+    records = (
+        BoundViolation("C~", (1, 0, -3), 4, 3),
+        EquivalenceFailure("C{", Eigenvalue(1, 5), "NotOptimal:tree-congruence", 1, 2),
+        LambdaFormFailure("C^", (1, 1, -1), 2, (1, -1)),
+    )
+    assert [list(r.to_json_dict().items()) for r in records] == [
+        [("graph6", "C~"), ("factor", [1, 0, -3]), ("multiplicity", 4), ("bound", 3)],
+        [
+            ("graph6", "C{"),
+            ("lambda", {"a": 1, "b": 5}),
+            ("verdict", "NotOptimal:tree-congruence"),
+            ("multiplicity", 1),
+            ("bound", 2),
+        ],
+        [("graph6", "C^"), ("factor", [1, 1, -1]), ("multiplicity", 2), ("residual", [1, -1])],
+    ]
+
+
+def test_a_failing_lemma_order_gives_one_record_per_lambda(monkeypatch):
+    # raise G's line multiplicity at root order 10 (1/5 and 3/5) on the paw
+    # only; the corpus checks compare per order and write per lambda, in
+    # (b, a) order, skipping 2/5 and 4/5 of order 5 between them
+    real = verify.line_multiplicities
+
+    def doctored(g, orders):
+        out = real(g, orders)
+        if to_graph6(g) == "C{":
+            out[10] += 2
+        return out
+
+    monkeypatch.setattr(verify, "line_multiplicities", doctored)
+    failures = verify_lemmas(4, samples=0).to_json_dict()["lemma_failures"]
+    lams = [{"a": 1, "b": 5}, {"a": 3, "b": 5}]
+    assert failures["path_deletion"] == [
+        {"lemma": "path_deletion", "graph6": "C{", "lambda": lam, "with_path": 2, "without_path": 0}
+        for lam in lams
+    ]
+    probe = {"edge": [0, 1], "mult_drop_ok": False, "sub_optimal_ok": False, "pendant_increment_ok": True}
+    assert failures["probe_equivalence"] == [
+        {"lemma": "probe_equivalence", "graph6": "C{", "lambda": lam, "optimal": True, "probe": probe}
+        for lam in lams
+    ]
+    assert failures["bridge"] == failures["path_absorption"] == []
+
+
+def test_a_failing_nullity_order_gives_one_record_per_lambda(monkeypatch):
+    # P_4 has 2cos(k*pi/5), k = 1..4, each once; a nullity one too high at
+    # root order 10 disagrees at 1/5 and 3/5 only
+    real = verify.annihilator_dimensions
+
+    def doctored(g, orders):
+        out = real(g, orders)
+        out[10] += 1
+        return out
+
+    monkeypatch.setattr(verify, "annihilator_dimensions", doctored)
+    assert cross_check_detail(path(4)) == [
+        {"lambda": {"a": a, "b": 5}, "polynomial": 1, "nullity": 2, "numeric": 1} for a in (1, 3)
+    ]
+
+
 def test_congruence_laws_small():
     assert verify_congruence_laws(max_path=40, max_cycle=24, max_b=6) == []
 
