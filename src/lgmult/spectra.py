@@ -15,9 +15,10 @@ With B the vertex-edge incidence matrix, B B^T = Q = D + A and
 B^T B = A(L(G)) + 2I share their nonzero eigenvalues, so
 P_L(G)(x) = (x+2)^(m-n) * det(xI - (Q - 2I)) (Cvetkovic, Rowlinson and
 Simic, Spectral Generalizations of Line Graphs, LMS Lecture Notes 314,
-2004, ch. 1).  One Faddeev-LeVerrier pass of degree n and one squarefree
-split of degree n then serve L(G), with the factor x + 2 carried apart;
-a multiplicity at a lambda in (-2, 2) never needs that factor.
+2004, ch. 1).  One power-sum pass of degree n (traces of the powers of
+Q - 2I, lifted to be non-negative) and one squarefree split of degree n
+serve L(G), with the factor x + 2 carried apart; a multiplicity at a
+lambda in (-2, 2) never needs that factor.
 A caller that asks only for the classes of multiplicity at least k > n
 is mostly served by a rank of Q over GF(2), with no polynomial built.
 """
@@ -206,39 +207,45 @@ def cycle_char_poly(k: int) -> IntPoly:
 
 
 def _char_poly_leverrier(g: Graph, diag: Sequence[int] = ()) -> IntPoly:
-    """Characteristic polynomial of X = diag(diag) + A(g) by Faddeev-LeVerrier
-    over plain integers (an empty ``diag`` is the zero diagonal, so A(g)).
+    """Characteristic polynomial of X = diag(diag) + A(g) from the power
+    sums of a non-negative matrix (an empty ``diag`` gives A(g)).
 
-    Row i of M is packed into the one integer sum_j M[i][j] * 2**(W*j)
-    (Kronecker substitution), so row i of X @ M, x_ii times row i plus the
-    rows of i's neighbours, costs a few big-int additions.  With
-    rho = max_i (|x_ii| + deg i), |c_j| <= C(n, j) * rho**j bounds every
-    entry of every X @ M by 2**n * rho**n, so W = n + n*bitlen(rho) + 2
-    keeps each below 2**(W-1): digit i of row i, the diagonal entry, then
-    reads off exactly once 2**(W-1) is added to each of digits 0..i.
+    Lifting the diagonal by t = max(0, -min(diag)) makes X' = X + tI
+    non-negative.  Row i of X'**k is packed into the one integer
+    sum_j X'**k[i][j] * 2**(W*j) (Kronecker substitution), so row i of the
+    next power, x'_ii times row i plus the rows of i's neighbours, is a few
+    big-int additions.  With rho' = max_i (x'_ii + deg i), no entry of
+    X'**k exceeds rho'**k, since each row sum of X' @ M is at most rho'
+    times the largest of M; so W = bitlen(rho'**n) holds every digit, and
+    p_k = tr(X'**k) sums digit i of row i.  Newton's identities
+    k*c_k = -(p_k + sum_(j<k) c_j * p_(k-j)) give the coefficient c_k of
+    x**(n-k) (L. Csanky, SIAM J. Comput. 5 (1976) 618-623), and the Taylor
+    shift P_X(x) = P_X'(x + t) undoes the lift.
     """
     n = g.vertex_count
-    diag = diag or (0,) * n
-    rho = max((abs(d) + len(a) for d, a in zip(diag, g.adj)), default=0)
-    width = n + n * rho.bit_length() + 2
-    mask, half = (1 << width) - 1, 1 << (width - 1)
-    units = [1 << (width * i) for i in range(n)]
-    offsets = [half * ((u << width) - 1) // mask for u in units]  # half in digits 0..i
-    coeffs, rows = [0] * n + [1], units
+    t = max(0, -min(diag, default=0))
+    diag = [d + t for d in diag] if diag else [0] * n
+    rho = max((d + len(a) for d, a in zip(diag, g.adj)), default=0)
+    width = max(1, (rho**n).bit_length())
+    mask, shifts = (1 << width) - 1, range(0, width * n, width)
+    rows, coeffs, sums = [1 << s for s in shifts], [1], []
     for k in range(1, n + 1):
         new = []
         for d, row, nbrs in zip(diag, rows, g.adj):
-            acc = d * row
+            acc = row if d == 1 else d * row
             for w in nbrs:
                 acc += rows[w]
             new.append(acc)
-        reads = zip(new, offsets, range(0, width * n, width))
-        tr = sum(((r + o) >> s) & mask for r, o, s in reads) - n * half
-        if tr % k:
-            raise AssertionError("trace not divisible in Leverrier step")
-        c = -(tr // k)
-        coeffs[n - k] = c
-        rows = [r + c * u for r, u in zip(new, units)] if c else new
+        rows = new
+        sums.append(sum((r >> s) & mask for r, s in zip(rows, shifts)))
+        acc = sum(c * p for c, p in zip(coeffs, reversed(sums)))
+        if acc % k:
+            raise AssertionError(f"power sums not divisible at Newton step {k}")
+        coeffs.append(-(acc // k))
+    coeffs.reverse()
+    for i in range(n if t else 0):
+        for j in range(n - 1, i - 1, -1):
+            coeffs[j] += t * coeffs[j + 1]
     return IntPoly(tuple(coeffs))
 
 
@@ -255,8 +262,8 @@ def char_poly(g: Graph) -> IntPoly:
     """Characteristic polynomial of the adjacency matrix, monic in Z[x].
 
     A path takes its closed form (much cheaper than the matrix route on
-    long paths); every other graph, connected or not, goes through
-    Faddeev-LeVerrier, which is exact on any graph.  Memoized on the
+    long paths); any other graph, connected or not, goes through the
+    power sums of A (no lift needed), exact on any graph.  Memoized on the
     immutable Graph.
     """
     if _is_path(g):
@@ -271,10 +278,11 @@ def _line_spectrum(g: Graph) -> tuple[IntPoly, int]:
     """(R, e) with char_poly(L(g)) = R * (x+2)**e and R(-2) != 0; not
     memoized, since a sweep meets each graph once.
 
-    R is det(xI - (Q - 2I)) with every factor x + 2 divided out, and e is
-    m - n plus the number divided out (the bipartite components of g, each
-    isolated vertex included).  A path keeps its closed form, since
-    L(P_n) = P_(n-1) has no eigenvalue -2.
+    R is det(xI - (Q - 2I)), from the power sums of Q - 2I lifted by
+    t = max(0, 2 - least degree), with every factor x + 2 divided out;
+    e is m - n plus the number divided out (the bipartite components of
+    g, each isolated vertex included).  A path keeps its closed form,
+    since L(P_n) = P_(n-1) has no eigenvalue -2.
     """
     if _is_path(g):
         return path_char_poly(g.edge_count), 0
@@ -313,8 +321,10 @@ def _gf2_rank_reaches(g: Graph, target: int) -> bool:
 
 
 def multiplicity_in_poly(f: IntPoly, lam: Eigenvalue) -> int:
-    """Multiplicity of lam as a root of f, by repeated exact division."""
+    """Multiplicity of lam as a root of f, by exact division (0 if deg f < deg psi)."""
     psi = lam.minimal_polynomial
+    if psi.degree > f.degree:
+        return 0
     # cheap integer screens before attempting real division: if psi | f
     # then psi(t) | f(t) at every integer t, and psi(t) != 0 for |t| >= 2
     # because all roots of psi lie in (-2, 2)

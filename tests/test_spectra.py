@@ -158,8 +158,8 @@ def test_packed_leverrier_matches_reference_on_families():
 
 
 def test_packed_leverrier_near_the_width_bound():
-    # K_n and K_(1,n) have the largest rho = max(|x_ii| + deg i) for their
-    # order, so their entries come closest to 2**n * rho**n
+    # K_n and K_(1,n) have the largest rho' = max(x'_ii + deg i) of the
+    # lifted matrix for their order, so their entries come closest to rho'**n
     for n in range(1, 13):
         complete = build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
         assert_kernel_matches_reference(complete)
@@ -247,6 +247,59 @@ def test_line_routes_agree_on_disconnected_graphs(g):
     assert_line_routes_agree(g)
     r, e = spectra._line_spectrum(g)
     assert r(-2) != 0 and e >= 0
+
+
+def _complete(n):
+    return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+@st.composite
+def graphs_with_diagonals(draw):
+    g = draw(st.one_of(connected_graphs(), graphs_with_bipartite_parts()))
+    n = g.vertex_count
+    return g, draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+
+
+@settings(max_examples=150)
+@given(graphs_with_diagonals())
+@example((build_graph(0, []), []))
+# edgeless, lifted by 4 to diag(0, 4, 8): the entry 8**3 = 2**9 fills W
+@example((build_graph(3, []), [-4, 0, 4]))
+@example((_complete(7), [-6] * 7))  # the largest lift for its order
+@example((star(5), [-4, 4, 4, 4, 4, 4]))
+def test_packed_leverrier_matches_reference_on_random_diagonals(case):
+    g, diag = case
+    assert spectra._char_poly_leverrier(g, diag) == _reference_leverrier(g, diag)
+
+
+def test_back_shift_is_evaluation_at_x_plus_t():
+    # det(xI - (X - tI)) = P_X(x + t), so lowering the diagonal by t, which
+    # changes the lift the kernel takes, must shift the argument by t
+    graphs = (_complete(5), star(4), cycle(6), build_graph(4, [(0, 1)]))
+    for g in graphs:
+        diag = [d - 2 for d in g.degrees()]
+        f = spectra._char_poly_leverrier(g, diag)
+        for t in range(-3, 5):
+            shifted = spectra._char_poly_leverrier(g, [d - t for d in diag])
+            for x in range(-4, 5):
+                assert shifted(x) == f(x + t), (g, t, x)
+
+
+def test_multiplicity_in_poly_skips_a_polynomial_below_the_degree():
+    evaluated = []
+
+    class Spy(IntPoly):
+        def __call__(self, x):
+            evaluated.append(x)
+            return super().__call__(x)
+
+    lam = Eigenvalue(1, 7)  # minimal polynomial of degree 3
+    for f in (Spy((1, 0, 1)), Spy(lam.minimal_polynomial.coeffs[1:]), Spy(())):
+        assert multiplicity_in_poly(f, lam) == 0
+    assert evaluated == []
+    # at deg f >= deg psi the screens still run
+    assert multiplicity_in_poly(Spy(lam.minimal_polynomial.coeffs), lam) == 1
+    assert evaluated
 
 
 def _gf2_rank_of_q(g):
