@@ -35,10 +35,6 @@ class DuplicateEdge(GraphError):
     pass
 
 
-class Unreachable(GraphError):
-    """Raised by distance() when the endpoints are in different components."""
-
-
 class Disconnected(GraphError):
     """Raised by operations whose statements assume a connected graph."""
 
@@ -180,31 +176,17 @@ def bfs_distances(g: Graph, source: int) -> list[int | None]:
     return dist
 
 
-def distance(g: Graph, u: int, v: int) -> int:
-    """Shortest-path length; raises Unreachable across components."""
-    if not (0 <= u < g.vertex_count) or not (0 <= v < g.vertex_count):
-        raise InvalidVertex(f"vertex pair ({u}, {v}) out of range")
-    d = bfs_distances(g, u)[v]
-    if d is None:
-        raise Unreachable(f"no path between {u} and {v}")
-    return d
-
-
 def biconnected_blocks(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Blocks (maximal biconnected pieces) as sorted vertex tuples, in sorted
-    order; an isolated vertex is a block of its own.  One iterative
-    low-link traversal per component, which the recognizer, the bridge
-    readers and the line-graph block structure share.  Not memoized: a
-    graph's blocks are seldom asked for twice."""
+    order; an isolated vertex is a block of its own.  One iterative low-link
+    pass per component (Hopcroft and Tarjan, Algorithm 447), which the
+    recognizer, the bridge readers and the line-graph block structure share.
+    A frame walks ``g.adj`` and skips the vertex it was reached from: a Graph
+    has no loops or repeated edges, so that vertex names the tree edge and no
+    edge ids are needed.  Not memoized: blocks are seldom asked for twice."""
     n = g.vertex_count
     disc = [-1] * n
     low = [0] * n
-    parent_edge = [-1] * n
-    # incidence: edge ids per vertex, to skip only the tree edge we came by
-    inc: list[list[int]] = [[] for _ in range(n)]
-    for eid, (u, v) in enumerate(g.edges):
-        inc[u].append(eid)
-        inc[v].append(eid)
     blocks: list[tuple[int, ...]] = []
     estack: list[tuple[int, int]] = []
     timer = 0
@@ -213,44 +195,39 @@ def biconnected_blocks(g: Graph) -> tuple[tuple[int, ...], ...]:
             continue
         disc[root] = low[root] = timer
         timer += 1
-        if not inc[root]:
+        if not g.adj[root]:
             blocks.append((root,))
             continue
-        stack: list[tuple[int, int]] = [(root, 0)]
+        stack = [(root, -1, iter(g.adj[root]))]
         while stack:
-            v, i = stack[-1]
-            if i < len(inc[v]):
-                stack[-1] = (v, i + 1)
-                eid = inc[v][i]
-                if eid == parent_edge[v]:
+            v, p, nbrs = stack[-1]
+            for w in nbrs:
+                if w == p:
                     continue
-                a, b = g.edges[eid]
-                w = b if a == v else a
                 if disc[w] == -1:
                     estack.append((v, w))
-                    parent_edge[w] = eid
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, 0))
-                elif disc[w] < disc[v]:
+                    stack.append((w, v, iter(g.adj[w])))
+                    break
+                if disc[w] < disc[v]:
                     estack.append((v, w))
                     if disc[w] < low[v]:
                         low[v] = disc[w]
             else:
                 stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                    if low[v] >= disc[p]:
-                        comp: set[int] = set()
-                        while estack:
-                            x, y = estack.pop()
-                            comp.add(x)
-                            comp.add(y)
-                            if (x, y) == (p, v):
-                                break
-                        blocks.append(tuple(sorted(comp)))
+                if p == -1:
+                    continue
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if low[v] >= disc[p]:
+                    comp: set[int] = set()
+                    while True:
+                        e = estack.pop()
+                        comp.update(e)
+                        if e == (p, v):
+                            break
+                    blocks.append(tuple(sorted(comp)))
     return tuple(sorted(blocks))
 
 

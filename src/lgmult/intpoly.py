@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -125,25 +125,6 @@ class IntPoly:
         if self.leading < 0:
             c = -c
         return IntPoly(tuple(v // c for v in self.coeffs))
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            if i == 0:
-                term = str(abs(c))
-            else:
-                mag = "" if abs(c) == 1 else str(abs(c)) + "*"
-                term = f"{mag}x" if i == 1 else f"{mag}x^{i}"
-            if not parts:
-                parts.append(("-" if c < 0 else "") + term)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + term)
-        return " ".join(parts)
 
 
 def div_exact(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -313,10 +294,3 @@ def compress_palindrome(f: IntPoly) -> IntPoly:
 def poly_to_json(f: IntPoly) -> list[str]:
     """Ascending coefficients as decimal strings (safe for huge values)."""
     return [str(c) for c in f.coeffs]
-
-
-def product(polys: Iterator[IntPoly] | Iterable[IntPoly]) -> IntPoly:
-    acc = IntPoly.one()
-    for p in polys:
-        acc = acc * p
-    return acc

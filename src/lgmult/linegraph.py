@@ -75,17 +75,7 @@ class BlockStructure:
     blocks: tuple[tuple[int, ...], ...]
     major_blocks: tuple[tuple[int, ...], ...]
     external_vertices: tuple[int, ...]
-    internal_vertices: tuple[int, ...]
     external_blocks: tuple[tuple[int, ...], ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "blocks": [list(b) for b in self.blocks],
-            "major_blocks": [list(b) for b in self.major_blocks],
-            "external_vertices": list(self.external_vertices),
-            "internal_vertices": list(self.internal_vertices),
-            "external_blocks": [list(b) for b in self.external_blocks],
-        }
 
 
 def block_structure(lt: Graph) -> BlockStructure:
@@ -98,7 +88,6 @@ def block_structure(lt: Graph) -> BlockStructure:
         for v in b:
             containing[v] += 1
     external = tuple(v for v in range(lt.vertex_count) if containing[v] <= 1)
-    internal = tuple(v for v in range(lt.vertex_count) if containing[v] > 1)
     major = tuple(b for b in blocks if len(b) >= 3)
     if len(major) <= 1:
         ext_blocks = major
@@ -120,7 +109,6 @@ def block_structure(lt: Graph) -> BlockStructure:
         blocks=blocks,
         major_blocks=major,
         external_vertices=external,
-        internal_vertices=internal,
         external_blocks=ext_blocks,
     )
 

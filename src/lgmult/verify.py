@@ -219,9 +219,9 @@ def check_graph(
     the n x n route of ``line_eig_classes``, so L(G) is never built, and
     only those of multiplicity >= ``bound``, since a class below it is
     neither a violation nor at the bound; when n < bound, a rank of Q over
-    GF(2) mostly shows that none is, before any polynomial is built.  A
-    disagreeing order, which only a failing graph has, reads its
-    multiplicity off R, so the full polynomial of L(G) is never built.
+    GF(2) mostly shows that none is, before any polynomial is built.  Only
+    a failing graph has disagreeing orders; they read their multiplicities
+    off one R, so the full polynomial of L(G) is never built.
     """
     report = VerificationReport()
     s = summarize(g)
@@ -258,15 +258,17 @@ def check_graph(
                 )
 
     report.candidates_checked = candidate_count(g.edge_count)
-    for n in optimal_orders(g, rules) ^ at_bound:
-        lams = _order_lambdas(n)
-        cert = optimal_certificate(g, lams[0], rules)
-        mult = line_multiplicities(g, [n])[n]
+    disagree = optimal_orders(g, rules) ^ at_bound
+    if disagree:
+        mults = line_multiplicities(g, disagree)
         g6 = to_graph6(g)
-        report.equivalence_failures.extend(
-            EquivalenceFailure(g6, lam, _verdict_string(cert), mult, bound)
-            for lam in lams
-        )
+        for n in disagree:
+            lams = _order_lambdas(n)
+            cert = optimal_certificate(g, lams[0], rules)
+            report.equivalence_failures.extend(
+                EquivalenceFailure(g6, lam, _verdict_string(cert), mults[n], bound)
+                for lam in lams
+            )
     report.equivalence_failures.sort(key=lambda f: (f.lam.b, f.lam.a))
     return report
 

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -173,6 +174,17 @@ def test_verify_does_not_depend_on_asserts():
             report.pop("elapsed")
         assert reports[0] == reports[1]
         assert reports[0]["graphs_checked"] == graphs
+
+
+def test_program_has_no_assert_statements():
+    # the check above runs the verify paths only; this one reads every module
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(cli.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == [], f"python -O strips these assert statements: {found}"
 
 
 @pytest.mark.parametrize("flag", ["--max-n=11", "--max-n=1", "--trees-to=14", "--low-cycle-to=12"])

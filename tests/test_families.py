@@ -24,7 +24,7 @@ from lgmult.families import (
     two_cycles_edge,
 )
 from lgmult.graphio import to_graph6
-from lgmult.graphs import build_graph, distance, summarize
+from lgmult.graphs import bfs_distances, build_graph, summarize
 from lgmult.linegraph import line_graph
 from lgmult.spectra import Eigenvalue, multiplicity
 
@@ -47,7 +47,7 @@ def test_congruent_spider_shapes():
     s = make_congruent_spider(Eigenvalue(2, 3), 4, 1)
     assert s.vertex_count == 17  # four legs of length 4
     pend = summarize(s).pendant_vertices
-    assert all(distance(s, u, v) % 3 == 2 for u, v in itertools.combinations(pend, 2))
+    assert all(bfs_distances(s, u)[v] % 3 == 2 for u, v in itertools.combinations(pend, 2))
 
     with pytest.raises(ValueError):
         make_congruent_spider(Eigenvalue(2, 3), 2, 0)
@@ -70,7 +70,7 @@ def test_congruent_tree_pendant_pairs(ab, legs, steps, seed):
     q = (lam.b - 1) // 2
     pend = s.pendant_vertices
     for u, v in itertools.combinations(pend, 2):
-        assert distance(t, u, v) % lam.b == (2 * q) % lam.b
+        assert bfs_distances(t, u)[v] % lam.b == (2 * q) % lam.b
 
 
 def test_attach_cycles_examples():

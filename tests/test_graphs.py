@@ -1,3 +1,4 @@
+import itertools
 import pickle
 from dataclasses import FrozenInstanceError
 
@@ -11,14 +12,13 @@ from lgmult.graphs import (
     InvalidEdge,
     InvalidVertex,
     NotAPendantPath,
-    Unreachable,
+    bfs_distances,
     biconnected_blocks,
     bridges,
     build_graph,
     components,
     delete_edge,
     delete_pendant_path,
-    distance,
     induced_subgraph,
     is_connected,
     pendant_paths,
@@ -60,14 +60,16 @@ def test_summarize_two_triangles_sharing_a_vertex():
     assert not s.is_cycle and not is_tree(g)
 
 
+_DISCONNECTED = (
+    build_graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)]),
+    build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 1), (4, 5)]),
+)
+
+
 def test_bridges_and_cut_vertices_match_deletion():
     # reference definitions: deleting a bridge or a cut vertex adds a component;
     # bridges(g) are the two-vertex blocks, cut vertices lie in >= 2 blocks
-    disconnected = [
-        build_graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)]),
-        build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 1), (4, 5)]),
-    ]
-    graphs = list(enumerate_connected(7, smallest=1)) + disconnected
+    graphs = list(enumerate_connected(7, smallest=1)) + list(_DISCONNECTED)
     for g in graphs:
         base = len(components(g))
         everyone = set(range(g.vertex_count))
@@ -81,19 +83,31 @@ def test_bridges_and_cut_vertices_match_deletion():
         assert sorted(cut_vertices(g)) == cuts
 
 
-def test_distance_examples():
-    assert distance(star(3), 1, 2) == 2
-    assert distance(path(5), 0, 4) == 4
-    assert distance(cycle(6), 0, 3) == 3
-    assert distance(cycle(6), 2, 2) == 0
+def _blocks_by_brute_force(g):
+    """The maximal vertex sets inducing a connected subgraph with no cut
+    vertex; a two-vertex set needs its edge, and an isolated vertex is a
+    block of its own, since no larger set contains it."""
+
+    def connected(vs):
+        return len(components(induced_subgraph(g, vs)[0])) == 1
+
+    def is_block(vs):
+        return connected(vs) and (len(vs) <= 2 or all(connected(vs - {v}) for v in vs))
+
+    found = [
+        frozenset(vs)
+        for k in range(1, g.vertex_count + 1)
+        for vs in itertools.combinations(range(g.vertex_count), k)
+        if is_block(set(vs))
+    ]
+    return tuple(sorted(tuple(sorted(b)) for b in found if not any(b < c for c in found)))
 
 
-def test_distance_unreachable_and_range():
-    g = build_graph(4, [(0, 1), (2, 3)])
-    with pytest.raises(Unreachable):
-        distance(g, 0, 3)
-    with pytest.raises(InvalidVertex):
-        distance(g, 0, 4)
+def test_blocks_match_brute_force_reference():
+    # isolated vertices 0 and 6 beside a triangle with a pendant edge, and an edge
+    isolated = build_graph(8, [(1, 2), (2, 3), (3, 1), (3, 4), (5, 7)])
+    for g in [*enumerate_connected(6, smallest=1), *_DISCONNECTED, isolated]:
+        assert biconnected_blocks(g) == _blocks_by_brute_force(g), g.edges
 
 
 def test_pendant_paths_single_pendant_edge():
@@ -202,7 +216,7 @@ def test_summarize_counts_match_components_and_degrees(g):
 @given(connected_graphs(max_n=7))
 def test_distance_symmetric_and_triangular(g):
     n = g.vertex_count
-    d = [[distance(g, u, v) for v in range(n)] for u in range(n)]
+    d = [bfs_distances(g, u) for u in range(n)]
     for u in range(n):
         for v in range(n):
             assert d[u][v] == d[v][u]

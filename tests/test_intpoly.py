@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import pytest
@@ -12,7 +13,6 @@ from lgmult.intpoly import (
     div_exact,
     gcd,
     poly_to_json,
-    product,
     squarefree_decomposition,
 )
 from test_verify import _checkable_graphs
@@ -72,7 +72,7 @@ def test_cyclotomic_small_orders():
 def test_cyclotomic_product_recovers_xn_minus_1():
     for n in (6, 12, 15):
         divisors = [d for d in range(1, n + 1) if n % d == 0]
-        lhs = product(cyclotomic(d) for d in divisors)
+        lhs = math.prod((cyclotomic(d) for d in divisors), start=IntPoly.one())
         rhs = P([-1] + [0] * (n - 1) + [1])
         assert lhs == rhs
 
@@ -101,7 +101,7 @@ def _pow(p, e):
 def test_squarefree_decomposition_reconstructs():
     f = P([1, 1]) * _pow(P([-1, 1]), 2) * _pow(P([-2, 0, 1]), 3)
     parts = squarefree_decomposition(f)
-    rebuilt = product(_pow(p, e) for p, e in parts)
+    rebuilt = math.prod((_pow(p, e) for p, e in parts), start=IntPoly.one())
     assert rebuilt.primitive() == f.primitive()
     assert {e for _, e in parts} == {1, 2, 3}
 

@@ -21,6 +21,7 @@ from lgmult.spectra import (
     candidate_pairs,
     char_poly,
     eig_classes,
+    line_multiplicities,
     multiplicity,
     multiplicity_in_poly,
 )
@@ -107,6 +108,37 @@ def test_check_graph_certifies_only_a_mismatched_order(monkeypatch):
     # a mutated recognizer disagrees somewhere, and only there is a certificate built
     with pytest.raises(AssertionError, match="built a certificate"):
         verify_graphs(graphs, RecognizerRules(path_residue_shift=1))
+
+
+def test_check_graph_reads_one_r_and_one_graph6_per_failing_graph(monkeypatch):
+    # under the mutated path rule P_4 disagrees at root orders 4, 5, 8 and 10
+    calls = {"line_multiplicities": [], "to_graph6": 0}
+
+    def spy_mults(g, orders):
+        calls["line_multiplicities"].append(sorted(orders))
+        return line_multiplicities(g, orders)
+
+    def spy_g6(g):
+        calls["to_graph6"] += 1
+        return to_graph6(g)
+
+    monkeypatch.setattr(verify, "line_multiplicities", spy_mults)
+    monkeypatch.setattr(verify, "to_graph6", spy_g6)
+    report = check_graph(from_graph6("Cq"), RecognizerRules(path_residue_shift=1))
+    assert calls == {"line_multiplicities": [[4, 5, 8, 10]], "to_graph6": 1}
+    assert report.candidates_checked == 23 and report.bound_violations == []
+    assert [
+        (f.graph6, f.lam.a, f.lam.b, f.verdict, f.multiplicity, f.bound)
+        for f in report.equivalence_failures
+    ] == [
+        ("Cq", 1, 2, "NotOptimal:tree-congruence", 1, 1),
+        ("Cq", 1, 4, "NotOptimal:tree-congruence", 1, 1),
+        ("Cq", 3, 4, "NotOptimal:tree-congruence", 1, 1),
+        ("Cq", 1, 5, "PathCase", 0, 1),
+        ("Cq", 2, 5, "PathCase", 0, 1),
+        ("Cq", 3, 5, "PathCase", 0, 1),
+        ("Cq", 4, 5, "PathCase", 0, 1),
+    ]
 
 
 def test_verify_graphs_skips_cycles_and_disconnected():
