@@ -10,7 +10,11 @@ cycles.  Lambda enters these conditions only through its root order n, so
 which ``pendant_cycle_decompose`` computes once per graph in G's own labels:
 ``optimal_orders`` gives the orders that pass, and ``optimal_certificate``
 the certificate naming the shape, or NotOptimal with the first failed
-condition.
+condition.  A candidate scan asks ``optimal_certificate`` about one graph
+object at every lambda, so it keeps the last graph object's Shape (one
+entry, found by identity; a graph that raises is never kept) and shares
+each NotOptimal, an immutable (lambda, reason) value, through a table that
+holds no graph: at most 9 reasons times the candidate lambdas asked.
 
 RecognizerRules exists for the test harness: it shifts the congruence
 constants so the verifier can prove the equivalence checks would catch a
@@ -70,7 +74,7 @@ DEFAULT_RULES = RecognizerRules()
 # certificate types
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathCase:
     """Case: G is a path, pendant distance m (mod m+1), lambda = (i, m+1)."""
 
@@ -80,7 +84,7 @@ class PathCase:
     case_tag: ClassVar[str] = "PathCase"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreeCase:
     """Case: G a tree with p >= 3 pendants, all pendant pairs at distance
     2q (mod 2q+1), lambda = (2k, 2q+1)."""
@@ -92,7 +96,7 @@ class TreeCase:
     case_tag: ClassVar[str] = "TreeCase"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttachedCycles:
     """Case: one or two congruent pendant cycles joined to distinct pendant
     vertices of a tree whose own line graph is optimal."""
@@ -105,7 +109,7 @@ class AttachedCycles:
     case_tag: ClassVar[str] = "AttachedCycles"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwoCyclesEdge:
     """Case: two congruent cycles joined by a single edge, no tree part."""
 
@@ -114,7 +118,7 @@ class TwoCyclesEdge:
     case_tag: ClassVar[str] = "TwoCyclesEdge"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ManyCycles:
     """Case: c >= 3 pendant cycles of order divisible by 2q+1 joined to
     distinct pendants of a tree, lambda = (2k, 2q+1)."""
@@ -128,7 +132,7 @@ class ManyCycles:
     case_tag: ClassVar[str] = "ManyCycles"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NotOptimal:
     """The graph-lambda pair fails the characterization; reason names the
     first violated condition in the fixed checking order lambda-form,
@@ -324,21 +328,43 @@ def _verdict(sh: Shape, n: int, rules: RecognizerRules) -> str:
     return ""
 
 
+# The last graph object asked and its Shape.  A candidate scan asks about
+# one graph object at every lambda, and an identity test is cheaper than
+# the table lookup, whose key comparison calls Graph.__eq__ on an equal
+# graph that is a different object.
+_last_shape: tuple[Graph | None, Shape | None] = (None, None)
+
+# One NotOptimal per (lambda, reason), shared by every graph rejected so:
+# at most 9 reasons times the candidate lambdas asked, and no graph.
+_REJECTIONS: dict[tuple[Eigenvalue, str], NotOptimal] = {}
+
+
 def optimal_certificate(
     g: Graph, lam: Eigenvalue, rules: RecognizerRules = DEFAULT_RULES
 ) -> OptimalityCertificate:
     """Decide whether (g, lambda) matches one of the five optimal shapes.
 
     ``_verdict`` decides at the root order of lambda from the graph's Shape,
-    looked up once in ``pendant_cycle_decompose``; an optimal pair gets the
-    one certificate its shape allows (c = 0, remainder emptiness and
-    c <= 2 / c >= 3 are mutually exclusive).  Only the parameters lam, i
-    and k carry a itself.
+    looked up in ``pendant_cycle_decompose`` only when g is not the graph
+    object of the previous call; an optimal pair gets the one certificate
+    its shape allows (c = 0, remainder emptiness and c <= 2 / c >= 3 are
+    mutually exclusive).  Only the parameters lam, i and k carry a itself.
+    A rejection is the shared NotOptimal of (lambda, reason), so a scan of
+    a graph outside the five shapes costs a lookup per lambda.  A graph
+    that raises is not remembered.
     """
-    sh = pendant_cycle_decompose(g)
+    global _last_shape
+    last, sh = _last_shape
+    if g is not last:
+        sh = pendant_cycle_decompose(g)
+        _last_shape = g, sh
     reason = _verdict(sh, lam.n, rules)
     if reason:
-        return NotOptimal(lam, reason)
+        try:
+            return _REJECTIONS[lam, reason]
+        except KeyError:
+            cert = _REJECTIONS[lam, reason] = NotOptimal(lam, reason)
+            return cert
     if sh.tree is None:
         return TwoCyclesEdge(lam, sh.cycle_orders)
     c, p = sh.c, sh.tree[0]

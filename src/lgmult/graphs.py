@@ -183,12 +183,15 @@ def biconnected_blocks(g: Graph) -> tuple[tuple[int, ...], ...]:
     recognizer, the bridge readers and the line-graph block structure share.
     A frame walks ``g.adj`` and skips the vertex it was reached from: a Graph
     has no loops or repeated edges, so that vertex names the tree edge and no
-    edge ids are needed.  Not memoized: blocks are seldom asked for twice."""
+    edge ids are needed.  A block is a vertex set, so the pass keeps a stack
+    of vertices, not of edges: when a child v of p closes a block, the block
+    is p with the vertices pushed from v on.  Not memoized: blocks are
+    seldom asked for twice."""
     n = g.vertex_count
     disc = [-1] * n
     low = [0] * n
     blocks: list[tuple[int, ...]] = []
-    estack: list[tuple[int, int]] = []
+    vstack: list[int] = []
     timer = 0
     for root in range(n):
         if disc[root] != -1:
@@ -205,15 +208,13 @@ def biconnected_blocks(g: Graph) -> tuple[tuple[int, ...], ...]:
                 if w == p:
                     continue
                 if disc[w] == -1:
-                    estack.append((v, w))
+                    vstack.append(w)
                     disc[w] = low[w] = timer
                     timer += 1
                     stack.append((w, v, iter(g.adj[w])))
                     break
-                if disc[w] < disc[v]:
-                    estack.append((v, w))
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
             else:
                 stack.pop()
                 if p == -1:
@@ -221,11 +222,11 @@ def biconnected_blocks(g: Graph) -> tuple[tuple[int, ...], ...]:
                 if low[v] < low[p]:
                     low[p] = low[v]
                 if low[v] >= disc[p]:
-                    comp: set[int] = set()
+                    comp = [p]
                     while True:
-                        e = estack.pop()
-                        comp.update(e)
-                        if e == (p, v):
+                        w = vstack.pop()
+                        comp.append(w)
+                        if w == v:
                             break
                     blocks.append(tuple(sorted(comp)))
     return tuple(sorted(blocks))

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import pickle
 from functools import lru_cache
 from math import gcd
 
@@ -48,7 +51,7 @@ from lgmult.graphs import (
 from lgmult.linegraph import EmptyGraph, block_structure, line_graph
 from lgmult.spectra import Eigenvalue, candidate_orders, candidate_pairs, multiplicity
 from test_graphs import connected_graphs
-from test_verify import CASE_SPECS, RULE_IDS, RULE_SETS
+from test_verify import CASE_SPECS, RULE_IDS, RULE_SETS, _checkable_graphs
 
 
 def test_lambda_candidates_sized_by_edge_count():
@@ -530,3 +533,120 @@ def test_residue_form_matches_the_all_pairs_test(ds, b, w, path_rule):
     p = 2 if path_rule else 3
     verdict = _tree_verdict((p, ds[0], gcd(*(d - ds[0] for d in ds))), lam.n, rules)
     assert (verdict == "") == all(d % b == w for d in ds)
+
+
+# ---------------------------------------------------------------------------
+# the candidate scan: one Shape per graph object, shared rejections
+
+
+def _fresh_certificate(sh, lam, rules):
+    """optimal_certificate's answer built anew from a Shape and _verdict,
+    with nothing remembered between calls."""
+    reason = _verdict(sh, lam.n, rules)
+    if reason:
+        return NotOptimal(lam, reason)
+    if sh.tree is None:
+        return TwoCyclesEdge(lam, sh.cycle_orders)
+    c, p = sh.c, sh.tree[0]
+    if c == 0:
+        return PathCase(lam, lam.a, lam.b - 1) if p == 2 else TreeCase(lam, lam.a // 2, (lam.b - 1) // 2, p)
+    if c <= 2:
+        return AttachedCycles(lam, sh.tree_vertices, sh.cycle_orders, sh.attachment_pendants, c)
+    return ManyCycles(lam, sh.tree_vertices, sh.cycle_orders, c, (lam.b - 1) // 2, lam.a // 2)
+
+
+@lru_cache(maxsize=None)
+def _scan_corpus():
+    """The connected non-cycle graphs with n <= 6, then negative_corpus(60, 3)."""
+    return _checkable_graphs(6) + tuple(realize(spec) for spec in negative_corpus(60, 3))
+
+
+@pytest.mark.parametrize("rules", RULE_SETS, ids=RULE_IDS)
+def test_candidate_scan_equals_fresh_certificates(rules):
+    graphs = _scan_corpus()
+    prev = graphs[-1]
+    prev_sh = pendant_cycle_decompose.__wrapped__(prev)
+    for g in graphs:
+        sh = pendant_cycle_decompose.__wrapped__(g)  # past the table
+        lams = candidate_pairs(g.edge_count)
+        want = [_fresh_certificate(sh, lam, rules) for lam in lams]
+        assert [optimal_certificate(g, lam, rules) for lam in lams] == want, g
+        twin = build_graph(g.vertex_count, g.edges)  # equal, another object
+        assert twin is not g
+        assert [optimal_certificate(twin, lam, rules) for lam in lams] == want, g
+        # the scan alternating between two graph objects
+        for lam, cert in zip(lams, want):
+            assert optimal_certificate(g, lam, rules) == cert, (g, lam)
+            assert optimal_certificate(prev, lam, rules) == _fresh_certificate(prev_sh, lam, rules), (prev, lam)
+        prev, prev_sh = g, sh
+
+
+def test_out_of_scope_graph_after_a_valid_one_still_raises():
+    valid, lam = path(4), Eigenvalue(1, 2)
+    out_of_scope = (
+        (cycle(5), IsACycle),
+        (build_graph(4, [(0, 1), (2, 3)]), Disconnected),
+        (build_graph(1, []), EmptyGraph),
+    )
+    for bad, error in out_of_scope:
+        assert is_optimal(optimal_certificate(valid, lam))
+        for _ in range(2):  # a graph that raised is not remembered
+            with pytest.raises(error):
+                optimal_certificate(bad, lam)
+        assert certify._last_shape[0] is valid
+
+
+def test_one_scan_of_one_graph_object_reads_its_shape_once(monkeypatch):
+    decompose, asked = pendant_cycle_decompose, []
+
+    def decompose_spy(g):
+        asked.append(g)
+        return decompose(g)
+
+    monkeypatch.setattr(certify, "pendant_cycle_decompose", decompose_spy)
+    for spec in negative_corpus(20, 5) + list(CASE_SPECS):
+        g = realize(spec)
+        asked.clear()
+        for rules in RULE_SETS:
+            for lam in candidate_pairs(g.edge_count):
+                optimal_certificate(g, lam, rules)
+        assert len(asked) == 1 and asked[0] is g, spec
+
+
+def test_rejections_are_shared_and_hold_no_graph(monkeypatch):
+    monkeypatch.setattr(certify, "_REJECTIONS", {})
+    graphs = _scan_corpus()
+    for g in graphs:
+        for lam in candidate_pairs(g.edge_count):
+            optimal_certificate(g, lam)
+    table = certify._REJECTIONS
+    assert table
+    for key, cert in table.items():
+        lam, reason = key
+        assert type(key) is tuple and len(key) == 2
+        assert type(lam) is Eigenvalue and type(reason) is str
+        assert type(cert) is NotOptimal and (cert.lam, cert.reason) == key
+    reasons = {reason for _, reason in table}
+    assert len(reasons) <= 9
+    assert len(table) <= 9 * len(candidate_pairs(max(g.edge_count for g in graphs)))
+    # two graphs rejected at one lambda for one reason get one object
+    lam = Eigenvalue(1, 3)
+    first, second = optimal_certificate(make_B(4, 1, 4), lam), optimal_certificate(make_B(5, 1, 5), lam)
+    assert first == second and first is second
+
+
+# sha256 of json.dumps of certificate_to_json over every candidate of the
+# scan corpus and the case graphs, as the recognizer wrote it with
+# unslotted certificate classes
+SCAN_JSON_SHA256 = "021d32070be907a1686fa853d7e3272db023cff3bb22630871f4443138f10672"
+
+
+def test_slotted_certificates_keep_their_json_and_pickle():
+    graphs = _checkable_graphs(6) + tuple(realize(spec) for spec in CASE_SPECS + tuple(negative_corpus(60, 3)))
+    certs = [optimal_certificate(g, lam) for g in graphs for lam in candidate_pairs(g.edge_count)]
+    kinds = {type(c) for c in certs}
+    assert kinds == {PathCase, TreeCase, AttachedCycles, TwoCyclesEdge, ManyCycles, NotOptimal}
+    assert not any(hasattr(c, "__dict__") for c in certs)
+    blob = json.dumps([certificate_to_json(c) for c in certs]).encode()
+    assert len(certs) == 68_749 and hashlib.sha256(blob).hexdigest() == SCAN_JSON_SHA256
+    assert pickle.loads(pickle.dumps(certs)) == certs
