@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import random
 import time
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from typing import Any, Iterable, Sequence
 
 from .certify import (
@@ -24,7 +22,6 @@ from .certify import (
     NotOptimal,
     RecognizerRules,
     edge_reduction_probe,
-    is_optimal,
     optimal_certificate,
     optimal_orders,
     theorem31_conditions,
@@ -273,37 +270,18 @@ def check_graph(
     return report
 
 
-def _worker_count() -> int:
-    """LGMULT_WORKERS clamped to 1..cpu_count; 1 when unset or not an integer."""
-    try:
-        return max(1, min(int(os.environ.get("LGMULT_WORKERS", "1")), os.cpu_count() or 1))
-    except ValueError:
-        return 1
-
-
 def verify_graphs(
     graphs: Iterable[Graph], rules: RecognizerRules = DEFAULT_RULES
 ) -> VerificationReport:
-    """Check every connected non-cycle graph in the stream.
+    """Check every connected non-cycle graph in the stream, in stream
+    order, in this process.
 
-    Cycles, disconnected graphs, and edgeless graphs are skipped.  The
-    LGMULT_WORKERS environment variable turns on process-parallel
-    checking; the merged report order matches the input order either way.
+    Cycles, disconnected graphs, and edgeless graphs are skipped.
     """
     report = VerificationReport()
     started = time.monotonic()
-    workers = _worker_count()
-    if workers > 1:
-        from multiprocessing import Pool
-
-        with Pool(workers) as pool:
-            for sub in pool.imap(
-                partial(check_graph, rules=rules), graphs, chunksize=64
-            ):
-                report.merge(sub)
-    else:
-        for g in graphs:
-            report.merge(check_graph(g, rules))
+    for g in graphs:
+        report.merge(check_graph(g, rules))
     report.elapsed = time.monotonic() - started
     return report
 
@@ -576,40 +554,55 @@ def verify_congruence_laws(
 
     For lam = (a, b): paths P_k contain lam exactly when k = b-1 (mod b),
     always with multiplicity one; cycles C_k contain it with multiplicity
-    two exactly when b divides k (a even) or 2b divides k (a odd).
+    two exactly when b divides k (a even) or 2b divides k (a odd).  Both
+    laws and the multiplicities depend on lam only through its root order,
+    so each order is checked once; a failing order gives its records to
+    every lambda of that order, in (b, a) order, paths before cycles.
     """
-    failures: list[dict[str, Any]] = []
-    lams = [
-        Eigenvalue(a, b)
-        for b in range(2, max_b + 1)
-        for a in range(1, b)
-        if math.gcd(a, b) == 1
-    ]
     paths = {k: path_char_poly(k) for k in range(1, max_path + 1)}
     cycles = {k: cycle_char_poly(k) for k in range(3, max_cycle + 1)}
-    for lam in lams:
+
+    def order_failures(lam: Eigenvalue) -> list[tuple[str, int, int, int]]:
+        out = []
         for k, f in paths.items():
             expected = 1 if k % lam.b == lam.b - 1 else 0
             got = multiplicity_in_poly(f, lam)
             if got != expected:
-                failures.append(
-                    {"shape": "path", "k": k, "lambda": _lam_json(lam),
-                     "expected": expected, "got": got}
-                )
+                out.append(("path", k, expected, got))
         for k, f in cycles.items():
             expected = 2 if k % lam.n == 0 else 0
             got = multiplicity_in_poly(f, lam)
             if got != expected:
-                failures.append(
-                    {"shape": "cycle", "k": k, "lambda": _lam_json(lam),
-                     "expected": expected, "got": got}
-                )
+                out.append(("cycle", k, expected, got))
+        return out
+
+    failures: list[dict[str, Any]] = []
+    by_order: dict[int, list[tuple[str, int, int, int]]] = {}
+    for b in range(2, max_b + 1):
+        for a in range(1, b):
+            if math.gcd(a, b) != 1:
+                continue
+            lam = Eigenvalue(a, b)
+            if lam.n not in by_order:
+                by_order[lam.n] = order_failures(lam)
+            failures.extend(
+                {"shape": shape, "k": k, "lambda": _lam_json(lam),
+                 "expected": expected, "got": got}
+                for shape, k, expected, got in by_order[lam.n]
+            )
     return failures
 
 
 def verify_block_agreement(max_n: int = 13) -> list[dict[str, Any]]:
     """Compare the line-graph block-distance conditions with the tree
-    pendant-pair congruence on every tree with at least three pendants."""
+    pendant-pair congruence on every tree with at least three pendants.
+
+    Both sides read lambda = (2k, b) only through its odd root order b, so
+    each is found once per odd order of candidate_orders(|E(T)|): the block
+    side at the order's first lambda, the pendant side from one
+    ``optimal_orders`` per tree.  A disagreeing order gives one record per
+    lambda, in (b, a) order.
+    """
     if max_n > MAX_TREE_VERTICES:
         raise ValueError(f"max_n must be at most {MAX_TREE_VERTICES}, got {max_n}")
     failures: list[dict[str, Any]] = []
@@ -617,19 +610,21 @@ def verify_block_agreement(max_n: int = 13) -> list[dict[str, Any]]:
         if summarize(t).pendant_count < 3:
             continue
         blocks = block_structure(line_graph(t).line)
-        for lam in candidate_pairs(t.edge_count):
-            if lam.a % 2 or lam.b % 2 == 0:
+        optimal = optimal_orders(t)
+        for n, lams in candidate_orders(t.edge_count):
+            if n % 2 == 0:
                 continue
-            via_blocks = theorem31_conditions(blocks, lam)
-            via_pendants = is_optimal(optimal_certificate(t, lam))
+            via_blocks = theorem31_conditions(blocks, lams[0])
+            via_pendants = n in optimal
             if via_blocks != via_pendants:
-                failures.append(
+                failures.extend(
                     {
                         "graph6": to_graph6(t),
                         "lambda": _lam_json(lam),
                         "block_conditions": via_blocks,
                         "pendant_congruence": via_pendants,
                     }
+                    for lam in lams
                 )
     return failures
 

@@ -187,6 +187,34 @@ def test_program_has_no_assert_statements():
     assert found == [], f"python -O strips these assert statements: {found}"
 
 
+def _reads_process_knobs(node):
+    """An import of multiprocessing, or a read of os.environ or os.getenv."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "multiprocessing" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        root = (node.module or "").split(".")[0]
+        return root == "multiprocessing" or (
+            root == "os" and any(alias.name in ("environ", "getenv") for alias in node.names)
+        )
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr in ("environ", "getenv")
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "os"
+    )
+
+
+def test_program_has_no_process_pool_or_environment_knob():
+    # every sweep runs in one process, and no hidden setting changes a run
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(cli.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if _reads_process_knobs(node)
+    ]
+    assert found == [], f"multiprocessing or environment reads: {found}"
+
+
 @pytest.mark.parametrize("flag", ["--max-n=11", "--max-n=1", "--trees-to=14", "--low-cycle-to=12"])
 def test_verify_checks_every_cap_before_any_sweep(flag, capsys, monkeypatch):
     def no_sweep(*args, **kwargs):

@@ -1,6 +1,6 @@
 import hashlib
 import json
-import os
+import math
 import sys
 from functools import lru_cache
 
@@ -14,16 +14,18 @@ from lgmult.families import FamilySpec, realize, two_cycles_edge
 from lgmult.graphio import from_graph6, to_graph6
 from lgmult.graphs import build_graph, induced_subgraph, multiplicity_bound, summarize
 from lgmult.intpoly import div_exact
-from lgmult.linegraph import line_graph
+from lgmult.linegraph import block_structure, line_graph
 from lgmult.spectra import (
     Eigenvalue,
     candidate_orders,
     candidate_pairs,
     char_poly,
+    cycle_char_poly,
     eig_classes,
     line_multiplicities,
     multiplicity,
     multiplicity_in_poly,
+    path_char_poly,
 )
 from lgmult.verify import (
     LEMMA_NAMES,
@@ -210,25 +212,6 @@ def test_reports_are_deterministic():
     assert first == second
 
 
-def test_worker_env_does_not_change_results(monkeypatch):
-    serial = verify_main_theorem(4).to_json_dict()
-    monkeypatch.setenv("LGMULT_WORKERS", "2")
-    parallel = verify_main_theorem(4).to_json_dict()
-    serial.pop("elapsed")
-    parallel.pop("elapsed")
-    assert serial == parallel
-
-
-def test_worker_count_is_clamped_to_the_cpu_count(monkeypatch):
-    # reads the environment only; no pool is started
-    cpus = os.cpu_count() or 1
-    for value, want in (("20000", cpus), ("2", min(2, cpus)), ("0", 1), ("-3", 1), ("two", 1)):
-        monkeypatch.setenv("LGMULT_WORKERS", value)
-        assert verify._worker_count() == want, value
-    monkeypatch.delenv("LGMULT_WORKERS")
-    assert verify._worker_count() == 1
-
-
 def test_report_serialization_shapes():
     report = verify_main_theorem(4)
     payload = report.to_json_dict()
@@ -308,6 +291,90 @@ def test_congruence_laws_small():
 
 def test_block_agreement_small():
     assert verify_block_agreement(8) == []
+
+
+def _congruence_laws_per_lambda(max_path, max_cycle, max_b):
+    # one multiplicity per (lambda, polynomial), read through the verify module
+    failures = []
+    for b in range(2, max_b + 1):
+        for a in (a for a in range(1, b) if math.gcd(a, b) == 1):
+            lam = Eigenvalue(a, b)
+            for shape, ks, poly, expect in (
+                ("path", range(1, max_path + 1), path_char_poly, lambda k: int(k % b == b - 1)),
+                ("cycle", range(3, max_cycle + 1), cycle_char_poly, lambda k: 2 * (k % lam.n == 0)),
+            ):
+                for k in ks:
+                    got = verify.multiplicity_in_poly(poly(k), lam)
+                    if got != expect(k):
+                        failures.append(
+                            {"shape": shape, "k": k, "lambda": {"a": a, "b": b},
+                             "expected": expect(k), "got": got}
+                        )
+    return failures
+
+
+def _block_agreement_per_lambda(max_n):
+    # both conditions at every lambda = (2k, odd b), read through the verify module
+    failures = []
+    for t in enumerate_connected(max_n, max_c=0, smallest=4):
+        if summarize(t).pendant_count < 3:
+            continue
+        blocks = block_structure(line_graph(t).line)
+        for lam in candidate_pairs(t.edge_count):
+            if lam.a % 2 == 0 and lam.b % 2:
+                via_blocks = verify.theorem31_conditions(blocks, lam)
+                via_pendants = is_optimal(optimal_certificate(t, lam))
+                if via_blocks != via_pendants:
+                    failures.append(
+                        {"graph6": to_graph6(t), "lambda": {"a": lam.a, "b": lam.b},
+                         "block_conditions": via_blocks, "pendant_congruence": via_pendants}
+                    )
+    return failures
+
+
+def test_a_failing_congruence_order_gives_one_record_per_lambda(monkeypatch):
+    # one too many at root order 10 (1/5 and 3/5): each of the two lambdas
+    # gets the order's records, paths before cycles, 2/5 and 4/5 none
+    monkeypatch.setattr(
+        verify, "multiplicity_in_poly", lambda f, lam: multiplicity_in_poly(f, lam) + (lam.n == 10)
+    )
+    failures = verify_congruence_laws(max_path=40, max_cycle=24, max_b=6)
+    assert failures == _congruence_laws_per_lambda(40, 24, 6)
+    assert {(f["lambda"]["a"], f["lambda"]["b"]) for f in failures} == {(1, 5), (3, 5)}
+    assert len(failures) == 2 * (40 + 22)
+
+
+def test_a_failing_block_order_gives_one_record_per_lambda(monkeypatch):
+    # the block side flipped at b = 5 disagrees at 2/5 and 4/5 on every tree
+    # whose line graph has order 5 among its candidates
+    real = verify.theorem31_conditions
+    monkeypatch.setattr(
+        verify, "theorem31_conditions", lambda blocks, lam: real(blocks, lam) != (lam.b == 5)
+    )
+    failures = verify_block_agreement(8)
+    assert failures == _block_agreement_per_lambda(8)
+    assert failures and {(f["lambda"]["a"], f["lambda"]["b"]) for f in failures} == {(2, 5), (4, 5)}
+
+
+def test_block_agreement_reads_each_odd_order_once_per_tree(monkeypatch):
+    seen, trees = [], []
+    real_blocks, real_orders = verify.theorem31_conditions, verify.optimal_orders
+
+    def blocks_spy(blocks, lam):
+        seen.append(lam.b)
+        return real_blocks(blocks, lam)
+
+    def orders_spy(t, *args):
+        trees.append(t)
+        return real_orders(t, *args)
+
+    monkeypatch.setattr(verify, "theorem31_conditions", blocks_spy)
+    monkeypatch.setattr(verify, "optimal_orders", orders_spy)
+    assert verify_block_agreement(9) == []
+    assert trees == [
+        t for t in enumerate_connected(9, max_c=0, smallest=4) if summarize(t).pendant_count >= 3
+    ]
+    assert seen == [n for t in trees for n, _ in candidate_orders(t.edge_count) if n % 2]
 
 
 RULE_SETS = (
