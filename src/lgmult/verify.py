@@ -576,20 +576,22 @@ def verify_congruence_laws(
                 out.append(("cycle", k, expected, got))
         return out
 
+    lams = [
+        Eigenvalue(a, b)
+        for b in range(2, max_b + 1)
+        for a in range(1, b)
+        if math.gcd(a, b) == 1
+    ]
     failures: list[dict[str, Any]] = []
     by_order: dict[int, list[tuple[str, int, int, int]]] = {}
-    for b in range(2, max_b + 1):
-        for a in range(1, b):
-            if math.gcd(a, b) != 1:
-                continue
-            lam = Eigenvalue(a, b)
-            if lam.n not in by_order:
-                by_order[lam.n] = order_failures(lam)
-            failures.extend(
-                {"shape": shape, "k": k, "lambda": _lam_json(lam),
-                 "expected": expected, "got": got}
-                for shape, k, expected, got in by_order[lam.n]
-            )
+    for lam in lams:
+        if lam.n not in by_order:
+            by_order[lam.n] = order_failures(lam)
+        failures.extend(
+            {"shape": shape, "k": k, "lambda": _lam_json(lam),
+             "expected": expected, "got": got}
+            for shape, k, expected, got in by_order[lam.n]
+        )
     return failures
 
 

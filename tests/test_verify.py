@@ -294,22 +294,21 @@ def test_block_agreement_small():
 
 
 def _congruence_laws_per_lambda(max_path, max_cycle, max_b):
-    # one multiplicity per (lambda, polynomial), read through the verify module
+    # every (lambda, k) on its own, multiplicities read through the verify module
     failures = []
     for b in range(2, max_b + 1):
-        for a in (a for a in range(1, b) if math.gcd(a, b) == 1):
+        for a in range(1, b):
+            if math.gcd(a, b) != 1:
+                continue
             lam = Eigenvalue(a, b)
-            for shape, ks, poly, expect in (
-                ("path", range(1, max_path + 1), path_char_poly, lambda k: int(k % b == b - 1)),
-                ("cycle", range(3, max_cycle + 1), cycle_char_poly, lambda k: 2 * (k % lam.n == 0)),
-            ):
-                for k in ks:
-                    got = verify.multiplicity_in_poly(poly(k), lam)
-                    if got != expect(k):
-                        failures.append(
-                            {"shape": shape, "k": k, "lambda": {"a": a, "b": b},
-                             "expected": expect(k), "got": got}
-                        )
+            cases = [("path", k, path_char_poly(k), int(k % b == b - 1)) for k in range(1, max_path + 1)]
+            cases += [("cycle", k, cycle_char_poly(k), 2 * (k % lam.n == 0)) for k in range(3, max_cycle + 1)]
+            for shape, k, f, expected in cases:
+                got = verify.multiplicity_in_poly(f, lam)
+                if got != expected:
+                    failures.append(
+                        {"shape": shape, "k": k, "lambda": {"a": a, "b": b}, "expected": expected, "got": got}
+                    )
     return failures
 
 
