@@ -36,13 +36,6 @@ def _integer(value: Any, name: str) -> int:
     return int(value)
 
 
-def _as_eigenvalue(lam: Eigenvalue | tuple[int, int]) -> Eigenvalue:
-    if isinstance(lam, Eigenvalue):
-        return lam
-    a, b = lam
-    return Eigenvalue(a, b)
-
-
 def _require_even_odd(lam: Eigenvalue) -> tuple[int, int]:
     """Split lam = (2k, 2q+1) and return (k, q), rejecting other forms."""
     if lam.a % 2 != 0 or lam.b % 2 != 1:
@@ -52,24 +45,20 @@ def _require_even_odd(lam: Eigenvalue) -> tuple[int, int]:
     return lam.a // 2, (lam.b - 1) // 2
 
 
-def make_congruent_path(lam: Eigenvalue | tuple[int, int], t: int) -> Graph:
+def make_congruent_path(lam: Eigenvalue, t: int) -> Graph:
     """Path on t*b vertices, so the end-to-end distance is b-1 mod b."""
-    lam = _as_eigenvalue(lam)
     if t < 1:
         raise ValueError(f"t must be at least 1, got {t}")
     n = t * lam.b
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def make_congruent_spider(
-    lam: Eigenvalue | tuple[int, int], legs: int, r: int
-) -> Graph:
+def make_congruent_spider(lam: Eigenvalue, legs: int, r: int) -> Graph:
     """Spider whose legs all have length q + r*(2q+1) edges.
 
     Any two leaf-to-leaf distances are then 2q + 2r(2q+1), which is
     2q mod (2q+1).  Requires lam = (2k, 2q+1) and legs >= 3.
     """
-    lam = _as_eigenvalue(lam)
     _, q = _require_even_odd(lam)
     if legs < 3:
         raise ValueError(f"need at least 3 legs, got {legs}")
@@ -87,12 +76,7 @@ def make_congruent_spider(
     return build_graph(n, edges)
 
 
-def make_congruent_tree(
-    lam: Eigenvalue | tuple[int, int],
-    legs: int = 3,
-    steps: int = 0,
-    seed: int = 0,
-) -> Graph:
+def make_congruent_tree(lam: Eigenvalue, legs: int = 3, steps: int = 0, seed: int = 0) -> Graph:
     """Random tree whose leaf pairs all sit at distance 2q mod (2q+1).
 
     Grows a spider with ``legs`` legs of length q, then applies
@@ -102,7 +86,6 @@ def make_congruent_tree(
     q mod (2q+1) and every branching vertex at depth 0 mod (2q+1),
     which forces the pairwise leaf congruence.
     """
-    lam = _as_eigenvalue(lam)
     _, q = _require_even_odd(lam)
     if legs < 3:
         raise ValueError(f"need at least 3 legs, got {legs}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 # Entries kept by each of the four memo tables keyed on a graph:
 # graphs.summarize, linegraph.line_graph, spectra.char_poly and
@@ -124,13 +124,6 @@ class StructureSummary:
     is_cycle: bool
 
 
-class PendantPath(NamedTuple):
-    """Maximal hanging path, listed from the free end toward the attachment."""
-
-    vertices: tuple[int, ...]
-    attachment: int
-
-
 def components(g: Graph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by smallest member."""
     seen = [False] * g.vertex_count
@@ -158,11 +151,13 @@ def is_connected(g: Graph) -> bool:
     return len(components(g)) == 1
 
 
-def bfs_distances(g: Graph, source: int) -> list[int | None]:
-    """Distances from source; None marks unreachable vertices."""
+def bfs_distances(g: Graph, *sources: int) -> list[int | None]:
+    """Distances from the nearest of the sources; None marks the vertices
+    no source reaches, and every vertex when no source is given."""
     dist: list[int | None] = [None] * g.vertex_count
-    dist[source] = 0
-    frontier = [source]
+    for s in sources:
+        dist[s] = 0
+    frontier = list(sources)
     d = 0
     while frontier:
         d += 1
@@ -267,16 +262,17 @@ def multiplicity_bound(g: Graph) -> int:
     return 2 * s.cyclomatic + s.pendant_count - 1
 
 
-def pendant_paths(g: Graph) -> list[PendantPath]:
-    """All maximal pendant paths of a connected graph.
+def pendant_paths(g: Graph) -> list[tuple[int, ...]]:
+    """All maximal pendant paths of a connected graph, each listed from its
+    free end, in order of the free end.
 
     Walks from each degree-1 vertex through degree-2 vertices until a vertex
-    of degree >= 3; that vertex is the attachment and keeps degree >= 2 after
-    the deletion.  Paths and cycles have no attachment, hence no pendant path.
+    of degree >= 3; that vertex keeps degree >= 2 after the deletion.  Paths
+    and cycles have no such vertex, hence no pendant path.
     """
     if not is_connected(g):
         raise Disconnected("pendant_paths needs a connected graph")
-    out: list[PendantPath] = []
+    out: list[tuple[int, ...]] = []
     for leaf in range(g.vertex_count):
         if g.degree(leaf) != 1:
             continue
@@ -287,13 +283,12 @@ def pendant_paths(g: Graph) -> list[PendantPath]:
             a, b = g.adj[cur]
             prev, cur = cur, (b if a == prev else a)
         if g.degree(cur) >= 3:
-            out.append(PendantPath(tuple(seq), cur))
-    out.sort(key=lambda p: p.vertices[0])
+            out.append(tuple(seq))
     return out
 
 
-def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Induced subgraph on ``keep`` with dense relabeling; returns old->new map."""
+def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
+    """Induced subgraph on ``keep``, relabeled densely in vertex order."""
     kept = sorted(set(keep))
     relabel = {old: new for new, old in enumerate(kept)}
     edges = [
@@ -301,15 +296,14 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, in
         for (u, v) in g.edges
         if u in relabel and v in relabel
     ]
-    return build_graph(len(kept), edges), relabel
+    return build_graph(len(kept), edges)
 
 
-def delete_pendant_path(g: Graph, p: PendantPath) -> tuple[Graph, dict[int, int]]:
+def delete_pendant_path(g: Graph, p: tuple[int, ...]) -> Graph:
     """Remove a pendant path returned by pendant_paths; ids are compacted."""
-    if tuple(p) not in {tuple(q) for q in pendant_paths(g)}:
+    if tuple(p) not in pendant_paths(g):
         raise NotAPendantPath(f"{p!r} is not a maximal pendant path of this graph")
-    keep = set(range(g.vertex_count)) - set(p.vertices)
-    return induced_subgraph(g, keep)
+    return induced_subgraph(g, set(range(g.vertex_count)) - set(p))
 
 
 def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -24,14 +23,6 @@ class IntPoly:
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
-
-    @staticmethod
-    def from_coeffs(coeffs: Iterable[int]) -> IntPoly:
-        return IntPoly(tuple(int(c) for c in coeffs))
-
-    @staticmethod
-    def zero() -> IntPoly:
-        return IntPoly(())
 
     @staticmethod
     def one() -> IntPoly:

@@ -63,7 +63,7 @@ def line_graph(g: Graph) -> LineGraphMap:
 class BlockStructure:
     """Biconnected decomposition with the tree-condition vocabulary.
 
-    blocks are vertex tuples sorted internally and listed by smallest
+    Blocks are vertex tuples sorted internally and listed by smallest
     member.  A vertex lying in two or more blocks is internal, otherwise
     external.  Major blocks have >= 3 vertices; a major block of order s
     counts as external when at least s-1 external vertices have it among
@@ -72,7 +72,6 @@ class BlockStructure:
     """
 
     graph: Graph
-    blocks: tuple[tuple[int, ...], ...]
     major_blocks: tuple[tuple[int, ...], ...]
     external_vertices: tuple[int, ...]
     external_blocks: tuple[tuple[int, ...], ...]
@@ -106,7 +105,6 @@ def block_structure(lt: Graph) -> BlockStructure:
         )
     return BlockStructure(
         graph=lt,
-        blocks=blocks,
         major_blocks=major,
         external_vertices=external,
         external_blocks=ext_blocks,
@@ -117,24 +115,8 @@ def block_block_distance(lt: Graph, b1: tuple[int, ...], b2: tuple[int, ...]) ->
     """min pairwise vertex distance between two distinct blocks."""
     if set(b1) == set(b2):
         raise NoSecondBlock("need two distinct blocks to measure a distance")
-    # multi-source BFS out of b1
-    dist: list[int | None] = [None] * lt.vertex_count
-    frontier = list(dict.fromkeys(b1))
-    for u in frontier:
-        dist[u] = 0
-    d = 0
-    targets = set(b2)
-    if targets.intersection(frontier):
-        return 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for w in lt.adj[u]:
-                if dist[w] is None:
-                    dist[w] = d
-                    if w in targets:
-                        return d
-                    nxt.append(w)
-        frontier = nxt
-    raise GraphError("blocks lie in different components")
+    dist = bfs_distances(lt, *b1)
+    reached = [dist[u] for u in b2 if dist[u] is not None]
+    if not reached:
+        raise GraphError("blocks lie in different components")
+    return min(reached)

@@ -320,7 +320,7 @@ def _check_path_deletion(
     paths = pendant_paths(g)
     if not paths:
         return
-    h, _ = delete_pendant_path(g, paths[0])
+    h = delete_pendant_path(g, paths[0])
     m_h = line_multiplicities(h, m_g)
     failing = {n for n, m in m_g.items() if m > m_h[n] + 1}
     for lam in lams:
@@ -354,13 +354,9 @@ def _check_bridge(
         cut = components(delete_edge(g, (u, v)))
         for a, b in ((u, v), (v, u)):
             side_vertices = next(c for c in cut if a in c)
-            side, _ = induced_subgraph(g, side_vertices)
-            side_minus, _ = induced_subgraph(
-                g, [w for w in side_vertices if w != a]
-            )
-            minus_b, _ = induced_subgraph(
-                g, [w for w in range(g.vertex_count) if w != b]
-            )
+            side = induced_subgraph(g, side_vertices)
+            side_minus = induced_subgraph(g, [w for w in side_vertices if w != a])
+            minus_b = induced_subgraph(g, [w for w in range(g.vertex_count) if w != b])
             f_side = char_poly(side)
             f_side_minus = char_poly(side_minus)
             f_minus_b = char_poly(minus_b)
@@ -399,9 +395,7 @@ def _check_path_absorption(
         edges.append((prev, h.vertex_count + i))
         prev = h.vertex_count + i
     glued = build_graph(h.vertex_count + extra, edges)
-    host_minus, _ = induced_subgraph(
-        h, [x for x in range(h.vertex_count) if x != w]
-    )
+    host_minus = induced_subgraph(h, [x for x in range(h.vertex_count) if x != w])
     m_glued = multiplicity(glued, lam)
     m_host = multiplicity(host_minus, lam)
     if m_glued != m_host:

@@ -191,7 +191,7 @@ def test_tree_part_read_in_g_equals_the_built_tree():
         sh = pendant_cycle_decompose(g)
         if not sh.tree_vertices:
             continue
-        t, _ = induced_subgraph(g, sh.tree_vertices)
+        t = induced_subgraph(g, sh.tree_vertices)
         assert is_tree(t)
         assert sh.tree == _tree_facts(t, summarize(t).pendant_vertices), g
         checked += 1
@@ -468,7 +468,7 @@ def _reference_certificate(g, lam, rules):
     tree_vertices = tuple(v for v in range(g.vertex_count) if v not in covered)
     if not tree_vertices:
         return TwoCyclesEdge(lam=lam, orders=tuple(sorted(orders)))
-    tree, _ = induced_subgraph(g, tree_vertices)
+    tree = induced_subgraph(g, tree_vertices)
     if not is_optimal(_reference_tree(tree, lam, rules)):
         return NotOptimal(lam=lam, reason="tree-congruence")
     if summarize(tree).pendant_count < c:

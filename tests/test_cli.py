@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import io
 import json
 import os
@@ -274,6 +275,18 @@ def test_verify_g6_file_table_and_out(capsys, tmp_path):
     written = json.loads(out.read_text())
     jsonschema.validate(written, load_schema("report"))
     assert written["graphs_checked"] == 1  # the cycle is skipped
+
+
+def test_report_digest_script_matches_the_pinned_digest(capsys, tmp_path):
+    # the script hashes a written report as the pinned report tests hash theirs
+    out = tmp_path / "report.json"
+    assert main(["verify", "--max-n", "5", "--out", str(out)]) == 0
+    capsys.readouterr()
+    payload = verify_main_theorem(5).to_json_dict()
+    payload.pop("elapsed")
+    want = hashlib.sha256(json.dumps(payload, indent=2).encode()).hexdigest()
+    done = _run(["scripts/report_digest.py", str(out)])
+    assert done.returncode == 0 and done.stdout == want + "\n"
 
 
 def test_verify_lemmas_flag(capsys):

@@ -77,7 +77,7 @@ def test_bridges_and_cut_vertices_match_deletion():
         cuts = [
             v
             for v in range(g.vertex_count)
-            if len(components(induced_subgraph(g, everyone - {v})[0])) > base
+            if len(components(induced_subgraph(g, everyone - {v}))) > base
         ]
         assert bridges(g) == tuple(sorted(bridges_by_deletion))
         assert sorted(cut_vertices(g)) == cuts
@@ -89,7 +89,7 @@ def _blocks_by_brute_force(g):
     block of its own, since no larger set contains it."""
 
     def connected(vs):
-        return len(components(induced_subgraph(g, vs)[0])) == 1
+        return len(components(induced_subgraph(g, vs))) == 1
 
     def is_block(vs):
         return connected(vs) and (len(vs) <= 2 or all(connected(vs - {v}) for v in vs))
@@ -112,17 +112,12 @@ def test_blocks_match_brute_force_reference():
 
 def test_pendant_paths_single_pendant_edge():
     g = cycle_plus_pendant(4)
-    assert pendant_paths(g) == [((4,), 0)]
+    assert pendant_paths(g) == [(4,)]
 
 
 def test_pendant_paths_star():
     # each leg hangs from the center, which keeps degree 2 after deletion
-    got = pendant_paths(star(3))
-    assert [(p.vertices, p.attachment) for p in got] == [
-        ((1,), 0),
-        ((2,), 0),
-        ((3,), 0),
-    ]
+    assert pendant_paths(star(3)) == [(1,), (2,), (3,)]
 
 
 def test_pendant_paths_empty_on_paths_and_cycles():
@@ -132,14 +127,13 @@ def test_pendant_paths_empty_on_paths_and_cycles():
 
 def test_delete_pendant_path_from_decorated_cycle():
     g = cycle_plus_pendant(4)
-    h, relabel = delete_pendant_path(g, pendant_paths(g)[0])
+    h = delete_pendant_path(g, pendant_paths(g)[0])
     assert summarize(h).is_cycle and h.vertex_count == 4
-    assert sorted(relabel) == [0, 1, 2, 3]
 
 
 def test_delete_pendant_path_from_spider():
     g = spider(3, 2)
-    h, _ = delete_pendant_path(g, pendant_paths(g)[0])
+    h = delete_pendant_path(g, pendant_paths(g)[0])
     assert is_path(h) and h.vertex_count == 5
 
 
@@ -152,9 +146,8 @@ def test_delete_pendant_path_rejects_foreign_path():
 
 def test_induced_subgraph_relabeling():
     g = path(5)
-    h, relabel = induced_subgraph(g, [1, 2, 3])
-    assert h.vertex_count == 3 and h.edge_count == 2
-    assert relabel == {1: 0, 2: 1, 3: 2}
+    h = induced_subgraph(g, [3, 1, 2])
+    assert h.vertex_count == 3 and h.edges == ((0, 1), (1, 2))
 
 
 @st.composite
@@ -224,6 +217,21 @@ def test_distance_symmetric_and_triangular(g):
                 assert d[u][w] <= d[u][v] + d[v][w]
 
 
+@given(st.data())
+def test_multi_source_distances_are_the_min_over_single_sources(data):
+    # disconnected graphs and the empty source list included; a vertex no
+    # source reaches is None
+    g = data.draw(graphs_with_isolated_vertices())
+    n = g.vertex_count
+    sources = data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=4 if n else 0))
+    singles = [bfs_distances(g, s) for s in sources]
+    want = [
+        min((d[v] for d in singles if d[v] is not None), default=None)
+        for v in range(n)
+    ]
+    assert bfs_distances(g, *sources) == want
+
+
 @given(connected_graphs())
 def test_path_deletion_bookkeeping(g):
     # removing one maximal pendant path drops p by exactly one and keeps c,
@@ -232,7 +240,7 @@ def test_path_deletion_bookkeeping(g):
     if not paths:
         return
     before = summarize(g)
-    h, _ = delete_pendant_path(g, paths[0])
+    h = delete_pendant_path(g, paths[0])
     after = summarize(h)
     assert after.cyclomatic == before.cyclomatic
     if not is_path(h) and not after.is_cycle:

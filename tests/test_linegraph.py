@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from conftest import cut_vertices, cycle, is_path, path, spider, star
 from lgmult.enumeration import canonical_key, enumerate_connected
-from lgmult.graphs import bfs_distances, build_graph, summarize
+from lgmult.graphs import GraphError, bfs_distances, biconnected_blocks, build_graph, summarize
 from lgmult.linegraph import (
     EmptyGraph,
     NoSecondBlock,
@@ -55,9 +55,10 @@ def test_line_graph_isomorphism_families():
 
 
 def test_block_structure_triangle():
-    bs = block_structure(line_graph(star(3)).line)
-    assert len(bs.blocks) == 1
-    assert bs.major_blocks == bs.external_blocks == bs.blocks
+    lt = line_graph(star(3)).line
+    bs = block_structure(lt)
+    assert len(biconnected_blocks(lt)) == 1
+    assert bs.major_blocks == bs.external_blocks == biconnected_blocks(lt)
     assert sorted(bs.external_vertices) == [0, 1, 2]
 
 
@@ -72,9 +73,10 @@ def test_block_structure_spider_legs_two():
 
 
 def test_block_structure_path_has_no_major_block():
-    bs = block_structure(line_graph(path(5)).line)
+    lt = line_graph(path(5)).line
+    bs = block_structure(lt)
     assert list(bs.major_blocks) == []
-    assert all(len(b) == 2 for b in bs.blocks)
+    assert all(len(b) == 2 for b in biconnected_blocks(lt))
 
 
 def test_vertex_block_distance_long_leg():
@@ -99,13 +101,36 @@ def test_block_block_distance_examples():
 
     lt2 = line_graph(spider(3, 2)).line
     bs2 = block_structure(lt2)
-    shared = [b for b in bs2.blocks if set(b) & set(bs2.major_blocks[0])]
+    shared = [b for b in biconnected_blocks(lt2) if set(b) & set(bs2.major_blocks[0])]
     touching = [b for b in shared if b != bs2.major_blocks[0]]
     assert block_block_distance(lt2, touching[0], bs2.major_blocks[0]) == 0
 
     with pytest.raises(NoSecondBlock):
-        bs3 = block_structure(line_graph(star(3)).line)
-        block_block_distance(line_graph(star(3)).line, bs3.blocks[0], bs3.blocks[0])
+        (triangle,) = biconnected_blocks(line_graph(star(3)).line)
+        block_block_distance(line_graph(star(3)).line, triangle, triangle)
+
+
+def test_block_block_distance_is_the_min_pairwise_distance():
+    # every pair of distinct blocks of L(T), for every tree on 3..9 vertices,
+    # against the min over all vertex pairs of single-source distances
+    pairs = 0
+    for t in enumerate_connected(9, max_c=0, smallest=3):
+        lt = line_graph(t).line
+        dist = [bfs_distances(lt, v) for v in range(lt.vertex_count)]
+        blocks = biconnected_blocks(lt)
+        for b1 in blocks:
+            for b2 in blocks:
+                if b1 != b2:
+                    want = min(dist[u][v] for u in b1 for v in b2)
+                    assert block_block_distance(lt, b1, b2) == want, (t.edges, b1, b2)
+                    pairs += 1
+    assert pairs > 0
+    # a block with itself, and two blocks in different components
+    with pytest.raises(NoSecondBlock):
+        block_block_distance(line_graph(path(4)).line, (0, 1), (1, 0))
+    two_edges = build_graph(4, [(0, 1), (2, 3)])
+    with pytest.raises(GraphError, match="different components"):
+        block_block_distance(two_edges, (0, 1), (2, 3))
 
 
 def test_tree_line_graph_block_laws():
@@ -116,12 +141,13 @@ def test_tree_line_graph_block_laws():
     for t in enumerate_connected(10, max_c=0, smallest=3):
         lt = line_graph(t).line
         bs = block_structure(lt)
-        for b in bs.blocks:
+        blocks = biconnected_blocks(lt)
+        for b in blocks:
             for i, u in enumerate(b):
                 for v in b[i + 1 :]:
                     assert lt.has_edge(u, v)
         for cut in cut_vertices(lt):
-            assert sum(1 for b in bs.blocks if cut in b) == 2
+            assert sum(1 for b in blocks if cut in b) == 2
         assert len(bs.external_vertices) == summarize(t).pendant_count
 
 

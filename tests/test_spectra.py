@@ -37,7 +37,9 @@ from lgmult.spectra import (
 from test_graphs import connected_graphs
 from test_verify import CASE_SPECS, _checkable_graphs
 
-P = IntPoly.from_coeffs
+
+def P(coeffs):
+    return IntPoly(tuple(coeffs))
 
 
 def test_eigenvalue_canonicality():

@@ -187,7 +187,7 @@ def test_path_absorption_direct_instance():
     w = 3
     edges = list(h.edges) + [(w, 4), (4, 5)]
     glued = build_graph(6, edges)
-    host_minus, _ = induced_subgraph(h, [x for x in range(4) if x != w])
+    host_minus = induced_subgraph(h, [x for x in range(4) if x != w])
     assert multiplicity(glued, lam) == multiplicity(host_minus, lam) == 0
 
 
