@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import gcd
 from typing import ClassVar, Iterable, Union
 
@@ -41,7 +40,7 @@ from .graphs import (
     multiplicity_bound,
     summarize,
 )
-from .linegraph import BlockStructure, EmptyGraph, block_block_distance
+from .linegraph import BlockStructure, EmptyGraph
 from .spectra import Eigenvalue, candidate_orders, candidate_pairs, line_multiplicities
 
 
@@ -208,21 +207,14 @@ def _tree_verdict(tree: tuple[int, int, int], n: int, rules: RecognizerRules) ->
 def theorem31_conditions(lt_blocks: BlockStructure, lam: Eigenvalue) -> bool:
     """Block-distance congruences on L(T) for lambda = (2k, 2q+1): every
     (external block, external vertex) pair has d(v,B)+1 = q (mod 2q+1), and
-    every pair of distinct major blocks is at distance 2q (mod 2q+1).
-    Vacuous quantifiers count as satisfied."""
+    every pair of distinct major blocks is at distance 2q (mod 2q+1).  Both
+    read the distance sets of ``block_structure``; vacuous quantifiers count
+    as satisfied."""
     if lam.a % 2 or lam.b % 2 == 0:
         raise ValueError(f"block conditions are stated for pairs (2k, 2q+1), got {lam}")
     q = (lam.b - 1) // 2
-    mod = lam.b
-    lt = lt_blocks.graph
-    for v in lt_blocks.external_vertices:
-        dist = bfs_distances(lt, v)
-        for b in lt_blocks.external_blocks:
-            if (min(dist[u] for u in b) + 1) % mod != q:
-                return False
-    return all(
-        block_block_distance(lt, x, y) % mod == 2 * q
-        for x, y in combinations(lt_blocks.major_blocks, 2)
+    return all((d + 1) % lam.b == q for d in lt_blocks.vertex_block_distances) and all(
+        d % lam.b == 2 * q for d in lt_blocks.block_block_distances
     )
 
 

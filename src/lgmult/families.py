@@ -294,47 +294,36 @@ class FamilySpec:
         return cls.from_json_dict(json.loads(text))
 
 
-def _realize_tree(spec: FamilySpec) -> Graph:
-    """Build the host tree named by an attached_cycles spec."""
-    params = spec.params
-    kind = params.get("tree", "spider")
+def _param(params: dict[str, Any], name: str, default: int | None = None) -> int:
+    """params[name], else the default, read as an integer; a parameter
+    with neither raises a ValueError naming it."""
+    if name not in params and default is None:
+        raise ValueError(f"missing parameter {name!r}")
+    return _integer(params.get(name, default), name)
+
+
+def _congruent(kind: str, lam: Eigenvalue, p: dict[str, Any], seed: int) -> Graph:
+    """The congruent path, spider or tree named by kind, from params p."""
     if kind == "path":
-        return make_congruent_path(spec.eigenvalue, _integer(params.get("t", 1), "t"))
+        return make_congruent_path(lam, _param(p, "t"))
     if kind == "spider":
-        return make_congruent_spider(
-            spec.eigenvalue,
-            _integer(params.get("legs", 3), "legs"),
-            _integer(params.get("r", 0), "r"),
-        )
+        return make_congruent_spider(lam, _param(p, "legs"), _param(p, "r", 0))
     if kind == "tree":
-        return make_congruent_tree(
-            spec.eigenvalue,
-            _integer(params.get("legs", 3), "legs"),
-            _integer(params.get("steps", 0), "steps"),
-            spec.seed,
-        )
+        return make_congruent_tree(lam, _param(p, "legs", 3), _param(p, "steps", 0), seed)
     raise ValueError(f"unknown host tree kind {kind!r}")
 
 
 def realize(spec: FamilySpec) -> Graph:
     """Build the graph a FamilySpec describes."""
     p = spec.params
-    if spec.case == "path":
-        return make_congruent_path(spec.eigenvalue, _integer(p["t"], "t"))
-    if spec.case == "spider":
-        return make_congruent_spider(
-            spec.eigenvalue, _integer(p["legs"], "legs"), _integer(p.get("r", 0), "r")
-        )
-    if spec.case == "tree":
-        return make_congruent_tree(
-            spec.eigenvalue,
-            _integer(p.get("legs", 3), "legs"),
-            _integer(p.get("steps", 0), "steps"),
-            spec.seed,
-        )
+    if spec.case in ("path", "spider", "tree"):
+        return _congruent(spec.case, spec.eigenvalue, p, spec.seed)
     if spec.case == "attached_cycles":
-        tree = _realize_tree(spec)
+        host = {"t": 1, "legs": 3, **p}
+        tree = _congruent(p.get("tree", "spider"), spec.eigenvalue, host, spec.seed)
         pendants = [v for v in range(tree.vertex_count) if tree.degree(v) == 1]
+        if "multiples" not in p:
+            raise ValueError("missing parameter 'multiples'")
         multiples = [_integer(m, "multiples") for m in p["multiples"]]
         if len(multiples) > len(pendants):
             raise ValueError(
@@ -343,11 +332,11 @@ def realize(spec: FamilySpec) -> Graph:
         orders = [m * spec.eigenvalue.n for m in multiples]
         return attach_cycles(tree, pendants[: len(multiples)], orders)
     if spec.case == "two_cycles_edge":
-        return two_cycles_edge(_integer(p["n1"], "n1"), _integer(p["n2"], "n2"))
+        return two_cycles_edge(_param(p, "n1"), _param(p, "n2"))
     if spec.case == "B":
-        return make_B(_integer(p["l"], "l"), _integer(p["x"], "x"), _integer(p["k"], "k"))
+        return make_B(_param(p, "l"), _param(p, "x"), _param(p, "k"))
     if spec.case == "theta":
-        return make_theta(_integer(p["k"], "k"), _integer(p["x"], "x"), _integer(p["l"], "l"))
+        return make_theta(_param(p, "k"), _param(p, "x"), _param(p, "l"))
     raise AssertionError(f"unhandled case {spec.case!r}")
 
 

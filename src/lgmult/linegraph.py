@@ -5,7 +5,9 @@ exactly when two base edges share an endpoint.  For a tree T, L(T) is a
 block graph: every block is a clique, every cutpoint lies in exactly two
 blocks, and the vertices corresponding to pendant edges of T are the
 external vertices.  The certifier's tree conditions are phrased through
-distances between vertices and blocks of L(T), so those live here too.
+distances between vertices and blocks of L(T), so ``block_structure``
+computes those too: one multi-source BFS out of each major block gives
+every distance the classification and the conditions read.
 """
 
 from __future__ import annotations
@@ -27,10 +29,6 @@ from .graphs import (
 
 class EmptyGraph(GraphError):
     """The line graph of an edgeless graph has no vertices."""
-
-
-class NoSecondBlock(GraphError):
-    """Asked for the distance from a block to itself."""
 
 
 @dataclass(frozen=True)
@@ -68,17 +66,21 @@ class BlockStructure:
     external.  Major blocks have >= 3 vertices; a major block of order s
     counts as external when at least s-1 external vertices have it among
     their nearest major blocks (ties all count), or when it is the only
-    major block.
+    major block.  The distances the tree conditions read are kept as sets:
+    d(v, B) for every external vertex v and external block B, and the
+    least distance between every two distinct major blocks.
     """
 
-    graph: Graph
     major_blocks: tuple[tuple[int, ...], ...]
     external_vertices: tuple[int, ...]
     external_blocks: tuple[tuple[int, ...], ...]
+    vertex_block_distances: frozenset[int]
+    block_block_distances: frozenset[int]
 
 
 def block_structure(lt: Graph) -> BlockStructure:
-    """Blocks of a connected graph plus the major/external classification."""
+    """Blocks of a connected graph plus the major/external classification,
+    from one multi-source BFS out of each major block."""
     if not is_connected(lt):
         raise Disconnected("block structure is defined here for connected graphs")
     blocks = biconnected_blocks(lt)
@@ -88,35 +90,23 @@ def block_structure(lt: Graph) -> BlockStructure:
             containing[v] += 1
     external = tuple(v for v in range(lt.vertex_count) if containing[v] <= 1)
     major = tuple(b for b in blocks if len(b) >= 3)
-    if len(major) <= 1:
-        ext_blocks = major
-    else:
-        # every nearest major block of each external vertex
-        nearest: dict[int, tuple[tuple[int, ...], ...]] = {}
+    # to_block[i][v] = d(v, major[i])
+    to_block = [bfs_distances(lt, *b) for b in major]
+    ext = list(range(len(major)))
+    if len(major) > 1:
+        # how many external vertices have each major block among their nearest
+        nearest = [0] * len(major)
         for v in external:
-            dist = bfs_distances(lt, v)
-            per_block = [min(dist[u] for u in b) for b in major]
-            best = min(per_block)
-            nearest[v] = tuple(b for b, d in zip(major, per_block) if d == best)
-        ext_blocks = tuple(
-            b
-            for b in major
-            if sum(1 for v in external if b in nearest[v]) >= len(b) - 1
-        )
+            best = min(d[v] for d in to_block)
+            for i, d in enumerate(to_block):
+                nearest[i] += d[v] == best
+        ext = [i for i in ext if nearest[i] >= len(major[i]) - 1]
     return BlockStructure(
-        graph=lt,
         major_blocks=major,
         external_vertices=external,
-        external_blocks=ext_blocks,
+        external_blocks=tuple(major[i] for i in ext),
+        vertex_block_distances=frozenset(to_block[i][v] for i in ext for v in external),
+        block_block_distances=frozenset(
+            min(to_block[i][u] for u in major[j]) for i in range(len(major)) for j in range(i)
+        ),
     )
-
-
-def block_block_distance(lt: Graph, b1: tuple[int, ...], b2: tuple[int, ...]) -> int:
-    """min pairwise vertex distance between two distinct blocks."""
-    if set(b1) == set(b2):
-        raise NoSecondBlock("need two distinct blocks to measure a distance")
-    dist = bfs_distances(lt, *b1)
-    reached = [dist[u] for u in b2 if dist[u] is not None]
-    if not reached:
-        raise GraphError("blocks lie in different components")
-    return min(reached)

@@ -114,6 +114,36 @@ def test_theorem31_conditions_examples():
         theorem31_conditions(k3_blocks, Eigenvalue(1, 2))
 
 
+def _theorem31_by_bfs(lt, blocks, lam):
+    # the per-lambda formulation: a BFS from every external vertex, then one
+    # out of each major block for its distance to every later major block
+    q = (lam.b - 1) // 2
+    for v in blocks.external_vertices:
+        dist = bfs_distances(lt, v)
+        for b in blocks.external_blocks:
+            if (min(dist[u] for u in b) + 1) % lam.b != q:
+                return False
+    for i, x in enumerate(blocks.major_blocks):
+        dist = bfs_distances(lt, *x)
+        for y in blocks.major_blocks[i + 1 :]:
+            if min(dist[u] for u in y) % lam.b != 2 * q:
+                return False
+    return True
+
+
+def test_theorem31_conditions_match_the_per_lambda_bfs():
+    # every (2k, odd b) candidate of every tree on 3..10 vertices
+    checked = 0
+    for t in enumerate_connected(10, max_c=0, smallest=3):
+        lt = line_graph(t).line
+        blocks = block_structure(lt)
+        for lam in candidate_pairs(t.edge_count):
+            if lam.a % 2 == 0 and lam.b % 2:
+                assert theorem31_conditions(blocks, lam) == _theorem31_by_bfs(lt, blocks, lam), (t.edges, lam)
+                checked += 1
+    assert checked == 8910
+
+
 def test_decompose_cycle_with_pendant_path():
     # C_4 with a two-edge tail: remainder P_2 on 4, 5, read in G's labels
     g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5)])

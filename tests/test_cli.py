@@ -249,6 +249,13 @@ def test_gen_subcommand_round_trip(capsys):
     assert checked["certificate"]["case_tag"] == "ManyCycles"
 
 
+def test_gen_names_a_missing_parameter(capsys):
+    for case, name in (("path", "t"), ("spider", "legs")):
+        assert main(["gen", "--case", case, "--lambda", "2/3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"missing parameter '{name}'" in err, err
+
+
 def test_gen_spec_json_inline(capsys):
     spec = {"case": "path", "lambda": "1/2", "params": {"t": 2}}
     code, payload = run_json(capsys, ["gen", "--spec-json", json.dumps(spec)])

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -154,6 +155,37 @@ def test_generators_deterministic():
     assert random_negative_spec("B", 5) == random_negative_spec("B", 5)
     with pytest.raises(ValueError):
         random_positive_spec("B", 0)
+
+
+def test_corpora_realize_to_the_pinned_graphs():
+    # 4,200 specs over seeds 0..2, every certified and bicyclic case
+    g6 = [to_graph6(realize(spec)) for s in range(3) for spec in positive_corpus(200, s) + negative_corpus(200, s)]
+    assert len(g6) == 4200
+    digest = hashlib.sha256("\n".join(g6).encode()).hexdigest()
+    assert digest == "6b51d46d6907942673f1ef4c64956c39ca6cd3cb37efbbb94ba0ed8a786dcb12"
+
+
+def test_realize_names_a_missing_parameter_and_fills_host_defaults():
+    for case, lam, params, name in (
+        ("path", (1, 3), {}, "t"),
+        ("spider", (2, 3), {"r": 1}, "legs"),
+        ("attached_cycles", (2, 3), {}, "multiples"),
+        ("two_cycles_edge", None, {"n1": 3}, "n2"),
+        ("B", None, {"l": 3, "k": 4}, "x"),
+        ("theta", None, {"x": 2, "l": 3}, "k"),
+    ):
+        with pytest.raises(ValueError, match=f"missing parameter '{name}'"):
+            realize(FamilySpec(case, lam, params))
+    # a host path is one period long, a host spider or tree has three legs
+    lam = Eigenvalue(2, 3)
+    for tree, host in (
+        ("path", make_congruent_path(lam, 1)),
+        ("spider", make_congruent_spider(lam, 3, 0)),
+        ("tree", make_congruent_tree(lam, 3, 0, 0)),
+    ):
+        g = realize(FamilySpec("attached_cycles", (2, 3), {"tree": tree, "multiples": [1]}))
+        pendant = min(v for v in range(host.vertex_count) if host.degree(v) == 1)
+        assert to_graph6(g) == to_graph6(attach_cycles(host, [pendant], [3])), tree
 
 
 def test_positive_corpus_certifies():

@@ -6,13 +6,9 @@ from hypothesis import given, settings
 from conftest import cut_vertices, cycle, is_path, path, spider, star
 from lgmult.enumeration import canonical_key, enumerate_connected
 from lgmult.graphs import GraphError, bfs_distances, biconnected_blocks, build_graph, summarize
-from lgmult.linegraph import (
-    EmptyGraph,
-    NoSecondBlock,
-    block_block_distance,
-    block_structure,
-    line_graph,
-)
+from lgmult import certify, linegraph
+from lgmult.linegraph import EmptyGraph, block_structure, line_graph
+from lgmult.spectra import candidate_pairs
 from test_graphs import connected_graphs
 
 
@@ -88,49 +84,65 @@ def test_vertex_block_distance_long_leg():
         assert vertex_block_distance(lt, v, major) == 0
 
 
-def test_block_block_distance_examples():
+def test_block_distance_sets_examples():
     # double spider: two degree-3 centers joined by a three-edge path
     g = build_graph(
         8,
         [(0, 1), (0, 2), (3, 6), (3, 7), (0, 4), (4, 5), (5, 3)],
     )
-    lt = line_graph(g).line
-    bs = block_structure(lt)
-    b1, b2 = bs.major_blocks
-    assert block_block_distance(lt, b1, b2) == 2
+    bs = block_structure(line_graph(g).line)
+    assert len(bs.major_blocks) == 2 and bs.block_block_distances == {2}
+    assert bs.external_blocks == bs.major_blocks and bs.vertex_block_distances == {0, 3}
 
-    lt2 = line_graph(spider(3, 2)).line
-    bs2 = block_structure(lt2)
-    shared = [b for b in biconnected_blocks(lt2) if set(b) & set(bs2.major_blocks[0])]
-    touching = [b for b in shared if b != bs2.major_blocks[0]]
-    assert block_block_distance(lt2, touching[0], bs2.major_blocks[0]) == 0
-
-    with pytest.raises(NoSecondBlock):
-        (triangle,) = biconnected_blocks(line_graph(star(3)).line)
-        block_block_distance(line_graph(star(3)).line, triangle, triangle)
+    # one major block: no pair of blocks, every leg one edge past the triangle
+    bs = block_structure(line_graph(spider(3, 2)).line)
+    assert bs.block_block_distances == frozenset() and bs.vertex_block_distances == {1}
+    # a path has no major block, so both sets are empty
+    bs = block_structure(line_graph(path(5)).line)
+    assert bs.vertex_block_distances == bs.block_block_distances == frozenset()
 
 
-def test_block_block_distance_is_the_min_pairwise_distance():
-    # every pair of distinct blocks of L(T), for every tree on 3..9 vertices,
-    # against the min over all vertex pairs of single-source distances
-    pairs = 0
+def test_block_distance_sets_are_the_brute_force_minima():
+    # every tree on 3..9 vertices: the external blocks and both distance sets
+    # from single-source distances out of every vertex of L(T)
+    checked = 0
     for t in enumerate_connected(9, max_c=0, smallest=3):
         lt = line_graph(t).line
         dist = [bfs_distances(lt, v) for v in range(lt.vertex_count)]
-        blocks = biconnected_blocks(lt)
-        for b1 in blocks:
-            for b2 in blocks:
-                if b1 != b2:
-                    want = min(dist[u][v] for u in b1 for v in b2)
-                    assert block_block_distance(lt, b1, b2) == want, (t.edges, b1, b2)
-                    pairs += 1
-    assert pairs > 0
-    # a block with itself, and two blocks in different components
-    with pytest.raises(NoSecondBlock):
-        block_block_distance(line_graph(path(4)).line, (0, 1), (1, 0))
-    two_edges = build_graph(4, [(0, 1), (2, 3)])
-    with pytest.raises(GraphError, match="different components"):
-        block_block_distance(two_edges, (0, 1), (2, 3))
+        bs = block_structure(lt)
+        major, external = bs.major_blocks, bs.external_vertices
+        to = {b: [min(dist[v][u] for u in b) for v in range(lt.vertex_count)] for b in major}
+        nearest = {v: [b for b in major if to[b][v] == min(to[c][v] for c in major)] for v in external}
+        ext = [b for b in major if len(major) == 1 or sum(b in nearest[v] for v in external) >= len(b) - 1]
+        assert bs.external_blocks == tuple(ext), t.edges
+        assert bs.vertex_block_distances == {to[b][v] for b in ext for v in external}, t.edges
+        pairs = {min(dist[u][v] for u in x for v in y) for x in major for y in major if x != y}
+        assert bs.block_block_distances == pairs, t.edges
+        checked += len(major) > 1
+    assert checked > 0
+
+
+def test_block_side_runs_one_bfs_per_major_block_and_none_per_lambda(monkeypatch):
+    # block_structure runs one BFS out of each major block; the conditions at
+    # every (2k, odd b) candidate run none
+    calls = []
+    real = linegraph.bfs_distances
+
+    def spy(g, *sources):
+        calls.append(sources)
+        return real(g, *sources)
+
+    monkeypatch.setattr(linegraph, "bfs_distances", spy)
+    monkeypatch.setattr(certify, "bfs_distances", spy)
+    for t in enumerate_connected(9, max_c=0, smallest=3):
+        calls.clear()
+        bs = block_structure(line_graph(t).line)
+        assert calls == list(bs.major_blocks), t.edges
+        calls.clear()
+        for lam in candidate_pairs(t.edge_count):
+            if lam.a % 2 == 0 and lam.b % 2:
+                certify.theorem31_conditions(bs, lam)
+        assert calls == [], t.edges
 
 
 def test_tree_line_graph_block_laws():
