@@ -271,8 +271,8 @@ class FamilySpec:
         if "lambda" in data:
             raw = data["lambda"]
             if isinstance(raw, dict):
-                lam = (_integer(raw["a"], "lambda a"), _integer(raw["b"], "lambda b"))
-            elif isinstance(raw, str):
+                raw = [_key(raw, "a", "lambda a"), _key(raw, "b", "lambda b")]
+            if isinstance(raw, str):
                 e = Eigenvalue.parse(raw)
                 lam = (e.a, e.b)
             elif isinstance(raw, list) and len(raw) == 2:
@@ -283,7 +283,7 @@ class FamilySpec:
         if not isinstance(params, dict):
             raise ValueError(f"params must be a JSON object, got {params!r}")
         return cls(
-            case=data["case"],
+            case=_key(data, "case"),
             lam=lam,
             params=dict(params),
             seed=_integer(data.get("seed", 0), "seed"),
@@ -292,6 +292,14 @@ class FamilySpec:
     @classmethod
     def from_json(cls, text: str) -> "FamilySpec":
         return cls.from_json_dict(json.loads(text))
+
+
+def _key(data: dict[str, Any], key: str, name: str | None = None) -> Any:
+    """data[key]; a missing key raises a ValueError naming it (as name,
+    when given)."""
+    if key not in data:
+        raise ValueError(f"missing key {name or key!r}")
+    return data[key]
 
 
 def _param(params: dict[str, Any], name: str, default: int | None = None) -> int:

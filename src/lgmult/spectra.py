@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from .graphs import GRAPH_CACHE_SIZE, Graph, components
 from .intpoly import (
@@ -320,26 +321,49 @@ def _gf2_rank_reaches(g: Graph, target: int) -> bool:
 # multiplicities and eigenvalue classes
 
 
+@lru_cache(maxsize=None)
+def _order_screen(n: int) -> tuple[IntPoly, int, int, int]:
+    """The minimal polynomial psi of root order n, with deg psi, psi(2)
+    and psi(-3)."""
+    psi = _order_min_poly(n)
+    return psi, psi.degree, psi(2), psi(-3)
+
+
+def multiplicities_in_poly(f: IntPoly, orders: Iterable[int]) -> dict[int, int]:
+    """The multiplicity as a root of f of the eigenvalues of each root
+    order in ``orders``, keyed by order, by exact division (0 where
+    deg f < deg psi).
+
+    Cheap integer screens come before any division: if psi | f then
+    psi(t) | f(t) at every integer t, and psi(t) != 0 for |t| >= 2
+    because all roots of psi lie in (-2, 2).  f(2) and f(-3) are taken
+    once for all the orders, and only once some psi has degree <= deg f.
+    """
+    out: dict[int, int] = {}
+    degree, f2, f3 = f.degree, None, None
+    for n in orders:
+        psi, d, psi2, psi3 = _order_screen(n)
+        out[n] = 0
+        if d > degree:
+            continue
+        if f2 is None:
+            f2, f3 = f(2), f(-3)
+        if f2 and f2 % psi2 or f3 and f3 % psi3:
+            continue
+        h = f
+        while not h.is_zero and h.degree >= d:
+            try:
+                h = div_exact(h, psi)
+            except ValueError:
+                break
+            out[n] += 1
+    return out
+
+
 def multiplicity_in_poly(f: IntPoly, lam: Eigenvalue) -> int:
-    """Multiplicity of lam as a root of f, by exact division (0 if deg f < deg psi)."""
-    psi = lam.minimal_polynomial
-    if psi.degree > f.degree:
-        return 0
-    # cheap integer screens before attempting real division: if psi | f
-    # then psi(t) | f(t) at every integer t, and psi(t) != 0 for |t| >= 2
-    # because all roots of psi lie in (-2, 2)
-    for t in (2, -3):
-        ft = f(t)
-        if ft and ft % psi(t):
-            return 0
-    count = 0
-    while not f.is_zero and f.degree >= psi.degree:
-        try:
-            f = div_exact(f, psi)
-        except ValueError:
-            break
-        count += 1
-    return count
+    """Multiplicity of lam as a root of f: multiplicities_in_poly at the
+    root order of lam alone."""
+    return multiplicities_in_poly(f, [lam.n])[lam.n]
 
 
 def multiplicity(g: Graph, lam: Eigenvalue) -> int:
@@ -354,8 +378,7 @@ def line_multiplicities(g: Graph, orders: Iterable[int]) -> dict[int, int]:
     lambda lies in (-2, 2), so its minimal polynomial is coprime to x + 2
     and divides char_poly(L(g)) = R * (x+2)**e exactly as often as it
     divides R.  R is built once, and L(g) itself is never built."""
-    r = _line_spectrum(g)[0]
-    return {n: multiplicity_in_poly(r, _order_lambdas(n)[0]) for n in orders}
+    return multiplicities_in_poly(_line_spectrum(g)[0], orders)
 
 
 @dataclass(frozen=True)
@@ -441,6 +464,35 @@ def numeric_multiplicity(spectrum: Sequence[float], lam: Eigenvalue) -> int | No
     return count
 
 
+@lru_cache(maxsize=None)
+def _numeric_table(max_degree: int) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """The values lam.numeric of candidate_pairs(max_degree), ascending,
+    with the index of each in candidate_pairs."""
+    pairs = candidate_pairs(max_degree)
+    index = sorted(range(len(pairs)), key=lambda i: pairs[i].numeric)
+    return tuple(pairs[i].numeric for i in index), tuple(index)
+
+
+def numeric_multiplicities(spectrum: Sequence[float], max_degree: int) -> list[int | None]:
+    """numeric_multiplicity(spectrum, lam) for each lam of
+    candidate_pairs(max_degree), in that order.  Only a candidate within
+    _NUMERIC_GAP of an entry can count it or abstain over it, so each
+    entry bisects the sorted table for the candidates within
+    2*_NUMERIC_GAP of it; an abstention is final, as it is per lambda."""
+    values, index = _numeric_table(max_degree)
+    counts: list[int | None] = [0] * len(values)
+    for x in spectrum:
+        lo = bisect_left(values, x - 2 * _NUMERIC_GAP)
+        for j in range(lo, bisect_right(values, x + 2 * _NUMERIC_GAP, lo)):
+            i, d = index[j], abs(x - values[j])
+            if d <= _NUMERIC_TOL:
+                count = counts[i]
+                counts[i] = None if count is None else count + 1
+            elif d < _NUMERIC_GAP:
+                counts[i] = None
+    return counts
+
+
 # ---------------------------------------------------------------------------
 # kernel dimension over Q(lambda)
 
@@ -477,6 +529,18 @@ _SCREEN_PRIME_LIMIT = 1 << 31
 _SCREEN_BLOCK_ENTRIES = 1 << 16
 
 
+@lru_cache(maxsize=64)
+def _screen_specs(orders: tuple[int, ...], prime_limit: int) -> tuple[Any, Any, Any]:
+    """The orders n of ``orders`` whose prime p_n is below prime_limit,
+    with p_n (shaped to broadcast over a stack of matrices) and r_n, as
+    int64 arrays."""
+    import numpy as np
+
+    specs = [(n, *_specialization_mod_p(n)) for n in orders]
+    table = np.array([s for s in specs if s[1] < prime_limit], dtype=np.int64).reshape(-1, 3)
+    return table[:, 0], table[:, 1, None, None], table[:, 2, None]
+
+
 def _screen_full_rank(g: Graph, orders: list[int]) -> set[int]:
     """The orders n at which A - r_n*I has full rank mod p_n.
 
@@ -484,42 +548,44 @@ def _screen_full_rank(g: Graph, orders: list[int]) -> set[int]:
     Z[y]/(Psi) -> F_p cannot raise rank), hence kernel dimension zero; an
     order the screen leaves out proves nothing.  The matrices of all orders
     are stacked and eliminated together, fraction-free, so no modular
-    inverse is needed.
+    inverse is needed, and with no row swaps.  Entries lie in [0, p), so
+    the argmax of column c is a nonzero entry when the column has one; it
+    is the pivot, and every row becomes pivot*row - row[c]*pivot_row
+    (mod p) right of column c.  That zeroes the pivot row, so no later
+    column picks it again, and a matrix has full rank exactly when every
+    column finds a nonzero entry.
     """
     import numpy as np
 
-    specs = [(n, *_specialization_mod_p(n)) for n in orders]
-    specs = [s for s in specs if s[1] < _SCREEN_PRIME_LIMIT]
+    all_ids, all_p, all_r = _screen_specs(tuple(orders), _SCREEN_PRIME_LIMIT)
     size = g.vertex_count
     diag = np.arange(size)
     base = np.zeros((size, size), dtype=np.int64)
-    for j in range(size):
-        base[list(g.adj[j]), j] = 1
+    u, v = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
+    base[u, v] = base[v, u] = 1
     step = max(1, _SCREEN_BLOCK_ENTRIES // (size * size))
     certified: set[int] = set()
-    for lo in range(0, len(specs), step):
-        block = specs[lo : lo + step]
-        ids = np.array([n for n, _, _ in block])
-        p = np.array([q for _, q, _ in block], dtype=np.int64)
-        mats = np.repeat(base[None], len(block), axis=0)
-        mats[:, diag, diag] -= np.array([r for _, _, r in block])[:, None]
-        mats %= p[:, None, None]
+    for lo in range(0, len(all_ids), step):
+        ids, p = all_ids[lo : lo + step], all_p[lo : lo + step]
+        mats = np.repeat(base[None], len(ids), axis=0)
+        mats[:, diag, diag] -= all_r[lo : lo + step]
+        mats %= p
+        k = np.arange(len(ids))
         for c in range(size):
-            nonzero = mats[:, c:, c] != 0
-            found = nonzero.any(axis=1)
-            if not found.all():
-                mats, p, ids, nonzero = mats[found], p[found], ids[found], nonzero[found]
+            col = mats[:, :, c]
+            piv = col.argmax(axis=1)
+            pivot = col[k, piv]
+            if not pivot.all():
+                found = pivot != 0
+                ids, p, mats, piv, pivot = ids[found], p[found], mats[found], piv[found], pivot[found]
                 if not len(ids):
                     break
-            k = np.arange(len(ids))
-            piv = nonzero.argmax(axis=1) + c
-            mats[k, c], mats[k, piv] = mats[k, piv], mats[k, c].copy()
-            pivot_row = mats[:, c, c + 1 :]
-            pivot = mats[:, c, c][:, None, None]
-            factor = mats[:, c + 1 :, c][:, :, None]
-            rest = mats[:, c + 1 :, c + 1 :]
-            rest[...] = (pivot * rest - factor * pivot_row[:, None, :]) % p[:, None, None]
-        certified.update(int(n) for n in ids)
+                k, col = k[: len(ids)], mats[:, :, c]
+            rest = mats[:, :, c + 1 :]
+            acc = pivot[:, None, None] * rest
+            acc -= col[:, :, None] * mats[k, piv, None, c + 1 :]
+            np.remainder(acc, p, out=rest)
+        certified.update(ids.tolist())
     return certified
 
 

@@ -54,8 +54,9 @@ from .spectra import (
     line_eig_classes,
     line_multiplicities,
     multiplicity,
+    multiplicities_in_poly,
     multiplicity_in_poly,
-    numeric_multiplicity,
+    numeric_multiplicities,
     numeric_spectrum,
     path_char_poly,
 )
@@ -636,16 +637,13 @@ def cross_check_detail(g: Graph) -> list[dict[str, Any]]:
     failures: list[dict[str, Any]] = []
     if g.vertex_count == 0:
         return failures
-    f = char_poly(g)
-    spectrum = numeric_spectrum(g)
-    via_polys = {
-        n: multiplicity_in_poly(f, group[0])
-        for n, group in candidate_orders(g.vertex_count)
-    }
-    via_nullities = annihilator_dimensions(g, via_polys)
-    for lam in candidate_pairs(g.vertex_count):
-        via_poly, via_nullity = via_polys[lam.n], via_nullities[lam.n]
-        via_numeric = numeric_multiplicity(spectrum, lam)
+    orders = [n for n, _ in candidate_orders(g.vertex_count)]
+    via_polys = multiplicities_in_poly(char_poly(g), orders)
+    via_nullities = annihilator_dimensions(g, orders)
+    via_numerics = numeric_multiplicities(numeric_spectrum(g), g.vertex_count)
+    for lam, via_numeric in zip(candidate_pairs(g.vertex_count), via_numerics):
+        n = lam.n
+        via_poly, via_nullity = via_polys[n], via_nullities[n]
         if via_poly != via_nullity or (
             via_numeric is not None and via_numeric != via_poly
         ):

@@ -256,6 +256,13 @@ def test_gen_names_a_missing_parameter(capsys):
         assert err.startswith("error:") and f"missing parameter '{name}'" in err, err
 
 
+def test_gen_spec_json_names_a_missing_key(capsys):
+    for spec, name in (({}, "case"), ({"case": "path", "lambda": {"a": 1}}, "lambda b")):
+        assert main(["gen", "--spec-json", json.dumps(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"missing key '{name}'" in err, err
+
+
 def test_gen_spec_json_inline(capsys):
     spec = {"case": "path", "lambda": "1/2", "params": {"t": 2}}
     code, payload = run_json(capsys, ["gen", "--spec-json", json.dumps(spec)])

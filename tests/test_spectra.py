@@ -28,7 +28,9 @@ from lgmult.spectra import (
     line_eig_classes,
     line_multiplicities,
     multiplicity,
+    multiplicities_in_poly,
     multiplicity_in_poly,
+    numeric_multiplicities,
     numeric_multiplicity,
     numeric_spectrum,
     path_char_poly,
@@ -569,6 +571,91 @@ def test_numeric_multiplicity_ambiguity_guard():
     assert numeric_multiplicity([0.0, 1.0], lam) == 1
     assert numeric_multiplicity([1e-9, 1.0], lam) == 1
     assert numeric_multiplicity([1e-7, 1.0], lam) is None  # inside the guard band
+
+
+def test_numeric_batch_matches_the_per_lambda_count():
+    for g in enumerate_connected(7, smallest=1):
+        spectrum = numeric_spectrum(g)
+        want = [numeric_multiplicity(spectrum, lam) for lam in candidate_pairs(g.vertex_count)]
+        assert numeric_multiplicities(spectrum, g.vertex_count) == want, g
+
+
+def _numeric_index(max_degree, a, b):
+    return candidate_pairs(max_degree).index(Eigenvalue(a, b))
+
+
+def test_numeric_batch_edge_cases():
+    zero = _numeric_index(4, 1, 2)
+    # an entry in the guard band abstains whether it comes before or after
+    # one inside the tolerance, and an abstention is not undone
+    for spectrum in ([1e-7, 0.0], [0.0, 1e-7], [0.0, 1e-7, -1e-9]):
+        assert numeric_multiplicities(spectrum, 4)[zero] is None
+    assert numeric_multiplicities([0.0, 1e-9, 1.0], 4)[zero] == 2
+    assert numeric_multiplicities([], 4) == [0] * len(candidate_pairs(4))
+    # at max_degree 100, 2cos(pi/279) and 2cos(pi/280) lie 9e-7 apart: an
+    # entry on the first counts there and abstains at the second, and an
+    # entry between them abstains at both
+    near, far = _numeric_index(100, 1, 279), _numeric_index(100, 1, 280)
+    x, y = Eigenvalue(1, 279).numeric, Eigenvalue(1, 280).numeric
+    assert 0 < y - x < spectra._NUMERIC_GAP
+    for spectrum, want in (([x], (1, None)), ([(x + y) / 2], (None, None)), ([x, x], (2, None))):
+        got = numeric_multiplicities(spectrum, 100)
+        assert (got[near], got[far]) == want
+        assert got == [numeric_multiplicity(spectrum, lam) for lam in candidate_pairs(100)]
+
+
+def _multiplicity_by_division(f, n):
+    """How often the minimal polynomial of order n divides f, by division alone."""
+    psi, count = spectra._order_min_poly(n), 0
+    while f.degree >= psi.degree:
+        try:
+            f = div_exact(f, psi)
+        except ValueError:
+            break
+        count += 1
+    return count
+
+
+def test_poly_batch_matches_one_order_at_a_time():
+    polys = [char_poly(g) for g in enumerate_connected(7, smallest=1)]
+    for spec in CASE_SPECS:
+        g = realize(spec)
+        polys += [char_poly(g), spectra._line_spectrum(g)[0]]
+    for f in polys:
+        orders = [n for n, _ in candidate_orders(max(f.degree, 1))]
+        got = multiplicities_in_poly(f, orders)
+        assert list(got) == orders
+        assert got == {n: multiplicity_in_poly(f, spectra._order_lambdas(n)[0]) for n in orders}
+        assert got == {n: _multiplicity_by_division(f, n) for n in orders}
+
+
+def _full_rank_mod_p(g, n):
+    """Whether A - r_n*I has full rank mod p_n, by Gaussian elimination with
+    modular inverses, one order at a time."""
+    p, r = spectra._specialization_mod_p(n)
+    size = g.vertex_count
+    rows = [[(int(j in g.adj[i]) - r * (i == j)) % p for j in range(size)] for i in range(size)]
+    for c in range(size):
+        piv = next((row for row in rows if row[c]), None)
+        if piv is None:
+            return False
+        rows.remove(piv)
+        inv = pow(piv[c], p - 2, p)
+        rows = [[(a - f * b) % p for a, b in zip(row, piv)] if (f := row[c] * inv) else row for row in rows]
+    return True
+
+
+def test_screen_certifies_exactly_the_full_rank_orders():
+    big = realize(CASE_SPECS[2])
+    orders = [n for n, _ in candidate_orders(big.vertex_count)]
+    step = spectra._SCREEN_BLOCK_ENTRIES // big.vertex_count**2
+    assert len(orders) > 2 * step  # three blocks or more
+    graphs = [*enumerate_connected(6, smallest=1), PETERSEN, big]
+    for g in graphs:
+        orders = [n for n, _ in candidate_orders(g.vertex_count)]
+        want = {n for n in orders if _full_rank_mod_p(g, n)}
+        assert spectra._screen_full_rank(g, orders) == want, g
+    assert 0 < len(want) < len(orders)
 
 
 @settings(max_examples=40)

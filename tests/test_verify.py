@@ -285,6 +285,19 @@ def test_a_failing_nullity_order_gives_one_record_per_lambda(monkeypatch):
     ]
 
 
+def test_numeric_disagreements_come_in_b_a_order(monkeypatch):
+    # extra entries at 2cos(3pi/5), 0, -1 and 2cos(pi/5) raise the numeric
+    # count at 3/5, 1/2, 2/3 and 1/5 on P_4; the records follow (b, a),
+    # not the order of the values
+    real = verify.numeric_spectrum
+    extra = [Eigenvalue(a, b).numeric for a, b in ((3, 5), (1, 2), (2, 3), (1, 5))]
+    monkeypatch.setattr(verify, "numeric_spectrum", lambda g: real(g) + extra)
+    assert cross_check_detail(path(4)) == [
+        {"lambda": {"a": a, "b": b}, "polynomial": k, "nullity": k, "numeric": k + 1}
+        for a, b, k in ((1, 2, 0), (2, 3, 0), (1, 5, 1), (3, 5, 1))
+    ]
+
+
 def test_congruence_laws_small():
     assert verify_congruence_laws(max_path=40, max_cycle=24, max_b=6) == []
 
