@@ -142,7 +142,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     _emit(
         {
             "graph6": to_graph6(g),
-            "bound": multiplicity_bound(g),
+            "line_graph_bound": multiplicity_bound(g),
             "certificate": certificate_to_json(cert),
         }
     )

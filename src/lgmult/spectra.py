@@ -19,8 +19,10 @@ Simic, Spectral Generalizations of Line Graphs, LMS Lecture Notes 314,
 Q - 2I, lifted to be non-negative) and one squarefree split of degree n
 serve L(G), with the factor x + 2 carried apart; a multiplicity at a
 lambda in (-2, 2) never needs that factor.
-A caller that asks only for the classes of multiplicity at least k > n
-is mostly served by a rank of Q over GF(2), with no polynomial built.
+A caller that asks only for the classes of multiplicity at least k is
+mostly served, when G has an induced path on at least n - k + 2
+vertices, by Cauchy interlacing and a rank of Q over GF(2), with no
+polynomial built.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Iterable, Sequence
 
-from .graphs import GRAPH_CACHE_SIZE, Graph, components
+from .graphs import GRAPH_CACHE_SIZE, Graph, bfs_distances, components
 from .intpoly import (
     IntPoly,
     compress_palindrome,
@@ -317,6 +319,42 @@ def _gf2_rank_reaches(g: Graph, target: int) -> bool:
     return False
 
 
+def _farthest(dist: list[int | None]) -> tuple[int, int]:
+    """(v, d): the first vertex v at the largest distance d that dist
+    reaches."""
+    if None in dist:
+        dist = [-1 if x is None else x for x in dist]
+    d = max(dist)
+    return dist.index(d), d
+
+
+def _geodesic(g: Graph, need: int) -> list[int]:
+    """A shortest path of g from a double-sweep BFS, with at least
+    ``need`` vertices when the sweep finds one.  The first sweep, from
+    vertex 0, reaches a farthest vertex u at distance d.  The path from u
+    back to 0 is returned when it is long enough, or when even the
+    diameter, at most 2d, falls short; otherwise the second sweep, from
+    u, gives the path from a vertex farthest from u back to u.  A shortest
+    path is an induced path, since a chord would shorten it.  On
+    disconnected input it stays in the component of vertex 0; [] for the
+    empty graph."""
+    if not g.vertex_count:
+        return []
+    dist = bfs_distances(g, 0)
+    v, d = _farthest(dist)
+    if d + 1 < need <= 2 * d + 1:
+        dist = bfs_distances(g, v)
+        v, d = _farthest(dist)
+    path = [v]
+    for d in range(d - 1, -1, -1):
+        for w in g.adj[v]:
+            if dist[w] == d:
+                break
+        path.append(w)
+        v = w
+    return path
+
+
 # ---------------------------------------------------------------------------
 # multiplicities and eigenvalue classes
 
@@ -411,13 +449,28 @@ def line_eig_classes(g: Graph, at_least: int = 1) -> tuple[EigClass, ...]:
     multiplicity k has k * deg h <= deg R, so R is split only when
     deg R >= at_least.
 
-    Before R is built, the answer is () when n < at_least and the rank of
-    Q = D + A over GF(2) is at least m - at_least + 1.  A class of R has
-    multiplicity <= deg R <= n < at_least.  x + 2 has multiplicity
-    e = m - rank Q, and a nonzero r x r minor of Q mod 2 is a nonzero
-    integer minor, so rank Q >= rank_2 Q and e <= m - rank_2 Q < at_least.
-    A graph this does not settle takes the exact route above."""
-    if g.vertex_count < at_least and _gf2_rank_reaches(g, g.edge_count - at_least + 1):
+    Before R is built, the answer is () when g has an induced path on
+    s >= n - at_least + 2 vertices and the rank of Q = D + A over GF(2) is
+    at least m - at_least + 1.  On an induced path S the principal
+    submatrix (Q - 2I)[S] is irreducible tridiagonal, so its eigenvalues
+    are simple, and by Cauchy interlacing an eigenvalue of Q - 2I of
+    multiplicity k is one of (Q - 2I)[S] with multiplicity at least
+    k - (n - s).  So every class of R has multiplicity <= n - s + 1 <
+    at_least (s = 1, any one vertex, is the case n < at_least).  x + 2
+    has multiplicity e = m - rank Q, and a nonzero r x r minor of Q mod 2
+    is a nonzero integer minor, so rank Q >= rank_2 Q and e <= m - rank_2 Q
+    < at_least.  The tests run by cost: an induced path holds at most two
+    pendant vertices, so s <= n - max(p - 2, 0) rules out a long enough
+    path for free (every tree at the bound 2c + p - 1 = p - 1); then a
+    geodesic from a double-sweep BFS, which often needs one sweep; then
+    the rank.  The screen reads g alone, and a graph it does not settle
+    takes the exact route above."""
+    n = g.vertex_count
+    need = n - at_least + 2
+    capped = need <= 1 or (
+        n - max(g.degrees().count(1) - 2, 0) >= need and len(_geodesic(g, need)) >= need
+    )
+    if capped and _gf2_rank_reaches(g, g.edge_count - at_least + 1):
         return ()
     r, e = _line_spectrum(g)
     classes = eig_classes(r, at_least) if r.degree >= at_least else ()

@@ -216,10 +216,11 @@ def check_graph(
     candidates are only counted, per edge count.  The classes come from
     the n x n route of ``line_eig_classes``, so L(G) is never built, and
     only those of multiplicity >= ``bound``, since a class below it is
-    neither a violation nor at the bound; when n < bound, a rank of Q over
-    GF(2) mostly shows that none is, before any polynomial is built.  Only
-    a failing graph has disagreeing orders; they read their multiplicities
-    off one R, so the full polynomial of L(G) is never built.
+    neither a violation nor at the bound; an interlacing screen on an
+    induced path of G, with a rank of Q over GF(2), mostly shows that none
+    is, before any polynomial is built.  Only a failing graph has
+    disagreeing orders; they read their multiplicities off one R, so the
+    full polynomial of L(G) is never built.
     """
     report = VerificationReport()
     s = summarize(g)

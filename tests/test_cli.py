@@ -77,6 +77,12 @@ def test_check_optimal_and_not(capsys, tmp_path):
     assert code == 0
     jsonschema.validate(payload, load_schema("certificate"))
     assert payload["certificate"]["case_tag"] == "AttachedCycles"
+    # the bound is on L(G), named as in mult; the old key fails the schema
+    assert list(payload) == ["graph6", "line_graph_bound", "certificate"]
+    assert payload["line_graph_bound"] == 2  # c = 1, p = 1
+    stale = {"bound": 2, **{k: v for k, v in payload.items() if k != "line_graph_bound"}}
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(stale, load_schema("certificate"))
 
     code, payload = run_json(capsys, ["check", "--g6", g6, "--lambda", "1/3"])
     assert code == 1

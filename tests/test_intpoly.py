@@ -185,7 +185,7 @@ def test_screen_settles_the_squarefree_line_spectra_up_to_7_vertices():
 def test_floors_leave_ten_line_spectra_to_yun_up_to_7_vertices(monkeypatch):
     # one entry [at_least, gcd degree, reached Yun] per split that
     # line_eig_classes asks for, uncached, under check_graph's floor; the
-    # graphs the GF(2) rank settles never build their spectrum
+    # graphs the interlacing screen settles never build their spectrum
     splits, spectra_built = [], []
     split, screen, integer_gcd = spectra.eig_classes, intpoly._gcd_degree_mod, intpoly.gcd
     line_spectrum = spectra._line_spectrum
@@ -217,10 +217,10 @@ def test_floors_leave_ten_line_spectra_to_yun_up_to_7_vertices(monkeypatch):
     skipped = [s for s in splits if 0 < s[1] < s[0] - 1]
     yun = [s for s in splits if s[1] >= s[0] - 1 and s[1] > 0]
     assert not any(s[2] for s in passed + skipped) and all(s[2] for s in yun)
-    settled_by_rank = len(graphs) - len(spectra_built)
+    settled_by_screen = len(graphs) - len(spectra_built)
     settled_by_degree = len(spectra_built) - len(splits)
-    assert (settled_by_rank, settled_by_degree) == (632, 6)
-    assert (len(passed), len(skipped), len(yun)) == (247, 95, 10)
+    assert (settled_by_screen, settled_by_degree) == (869, 4)
+    assert (len(passed), len(skipped), len(yun)) == (62, 45, 10)
 
 
 def test_screen_needs_a_monic_polynomial(monkeypatch):

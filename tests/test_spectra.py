@@ -1,17 +1,20 @@
+import itertools
 import math
 import os
 import random
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import cycle, path, star
 from lgmult import spectra
+from lgmult.certify import optimal_orders
 from lgmult.enumeration import enumerate_connected
-from lgmult.families import realize
-from lgmult.graphs import build_graph
+from lgmult.families import negative_corpus, realize
+from lgmult.graphs import bfs_distances, build_graph, summarize
 from lgmult.intpoly import IntPoly, div_exact
 from lgmult.linegraph import line_graph
 from lgmult.spectra import (
@@ -36,6 +39,7 @@ from lgmult.spectra import (
     path_char_poly,
     trig_min_poly,
 )
+from lgmult.verify import verify_main_theorem
 from test_graphs import connected_graphs
 from test_verify import CASE_SPECS, _checkable_graphs
 
@@ -210,13 +214,49 @@ def test_line_routes_agree_on_small_graphs_and_families():
         assert_line_routes_agree(realize(spec))
 
 
+class _Unsettled(Exception):
+    """Raised in place of building R, so a call shows the screen alone."""
+
+
+def _refuse_to_build(g):
+    raise _Unsettled
+
+
+def assert_floors_sound(graphs, exact=True):
+    """line_eig_classes(g, k) at every k from 1 to m + 1 against the full
+    classes, built once per graph: a floor the screen settles, without
+    building R, gives () and has no class at or above it, and with
+    ``exact`` every other floor's exact route gives the classes at or
+    above it.  Without ``exact`` the screen runs only up to the largest
+    multiplicity, since above it () is right on either route."""
+    fulls = [line_eig_classes(g) for g in graphs]
+    settled = []
+    with mock.patch.object(spectra, "_line_spectrum", _refuse_to_build):
+        for g, full in zip(graphs, fulls):
+            top = g.edge_count + 1 if exact else max((c.multiplicity for c in full), default=0)
+            settled.append({})
+            for k in range(1, top + 1):
+                try:
+                    settled[-1][k] = line_eig_classes(g, k)
+                except _Unsettled:
+                    pass
+    for g, full, screened in zip(graphs, fulls, settled):
+        for k in range(1, g.edge_count + 2):
+            want = tuple(c for c in full if c.multiplicity >= k)
+            if k in screened:
+                assert screened[k] == want == (), (g, k)
+            elif exact:
+                assert line_eig_classes(g, k) == want, (g, k)
+
+
 def test_line_eig_classes_with_a_floor_are_the_classes_at_or_above_it():
     # every floor from 1 to m + 1 meets deg R and e for some graph, so an
-    # off-by-one at either floor, or at the gcd-degree floor, shows here
-    for g in (*_checkable_graphs(7), *(realize(spec) for spec in CASE_SPECS)):
-        full = line_eig_classes(g)
-        for k in range(1, g.edge_count + 2):
-            assert line_eig_classes(g, k) == tuple(c for c in full if c.multiplicity >= k), (g, k)
+    # off-by-one at either floor, or at the gcd-degree floor, shows here;
+    # at n = 8 the screen's floors are checked, and the exact route they
+    # would otherwise take is the one checked up to n = 7
+    corpus = [realize(spec) for spec in (*CASE_SPECS, *negative_corpus(50, 0))]
+    assert_floors_sound([*enumerate_connected(7, smallest=1), *corpus])
+    assert_floors_sound(list(enumerate_connected(8, smallest=8)), exact=False)
 
 
 @st.composite
@@ -249,6 +289,7 @@ def graphs_with_bipartite_parts(draw):
 @example(build_graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4)]))
 def test_line_routes_agree_on_disconnected_graphs(g):
     assert_line_routes_agree(g)
+    assert_floors_sound([g])
     r, e = spectra._line_spectrum(g)
     assert r(-2) != 0 and e >= 0
 
@@ -346,6 +387,118 @@ def test_certificate_keeps_a_class_above_the_vertex_count():
     x_plus_2 = spectra.EigClass(P([2, 1]), 9)
     assert line_eig_classes(K44, 9) == (x_plus_2,)
     assert line_eig_classes(K44, 10) == ()
+
+
+def _all_distances(g):
+    """Floyd-Warshall distances, None between components."""
+    n = g.vertex_count
+    d = [[0 if i == j else 1 if g.has_edge(i, j) else math.inf for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return [[None if x == math.inf else x for x in row] for row in d]
+
+
+def assert_geodesic(g):
+    """For every ``need``, the path _geodesic returns is an induced path
+    of g, by brute force over its vertex pairs, and a shortest one: from
+    a vertex at the eccentricity e of vertex 0 back to 0, or, when
+    e + 1 < need <= 2e + 1, from a vertex at the eccentricity of such a
+    vertex u back to u."""
+    if not g.vertex_count:
+        assert spectra._geodesic(g, 1) == []
+        return
+    d = _all_distances(g)
+
+    def ecc(v):
+        return max(x for x in d[v] if x is not None)
+
+    e = ecc(0)
+    for need in range(g.vertex_count + 2):
+        path = spectra._geodesic(g, need)
+        assert len(set(path)) == len(path)
+        for i, j in itertools.combinations(range(len(path)), 2):
+            assert g.has_edge(path[i], path[j]) == (j == i + 1), (g, need, path)
+        u = path[-1]
+        if e + 1 < need <= 2 * e + 1:
+            assert d[0][u] == e and len(path) - 1 == d[u][path[0]] == ecc(u), (g, need, path)
+        else:
+            assert u == 0 and len(path) - 1 == d[0][path[0]] == e, (g, need, path)
+
+
+@settings(max_examples=150)
+@given(st.one_of(graphs_with_bipartite_parts(), connected_graphs()))
+@example(build_graph(0, []))
+@example(build_graph(1, []))
+@example(build_graph(5, [(1, 2), (2, 3), (3, 4)]))  # vertex 0 alone, a P4 beside it
+def test_geodesic_is_an_induced_shortest_path(g):
+    assert_geodesic(g)
+
+
+def test_geodesic_on_small_graphs_and_families():
+    for g in (*enumerate_connected(7, smallest=1), *(realize(spec) for spec in CASE_SPECS)):
+        assert_geodesic(g)
+
+
+def test_screen_leaves_r_to_121_and_370_graphs(monkeypatch):
+    # the graphs of the n <= 7 and n <= 8 sweeps whose line spectrum R is
+    # built: a GF(2) rank with n < bound left 358 and 1,794
+    built = []
+    line_spectrum = spectra._line_spectrum
+
+    def spy(g):
+        built.append(g)
+        return line_spectrum(g)
+
+    monkeypatch.setattr(spectra, "_line_spectrum", spy)
+    counts = []
+    for max_n in (7, 8):
+        built.clear()
+        counts.append((verify_main_theorem(max_n).graphs_checked, len(built)))
+    assert counts == [(990, 121), (12_106, 370)]
+
+
+def _integer_rank(rows):
+    """Rank of an integer matrix by fraction-free elimination."""
+    rows, rank = [list(r) for r in rows], 0
+    for c in range(len(rows[0]) if rows else 0):
+        k = next((k for k, r in enumerate(rows) if r[c]), None)
+        if k is None:
+            continue
+        piv = rows.pop(k)
+        rank += 1
+        rows = [[piv[c] * a - r[c] * b for a, b in zip(r, piv)] for r in rows]
+    return rank
+
+
+def _is_bipartite(g):
+    """Whether connected g 2-colours, by BFS parity."""
+    dist = bfs_distances(g, 0)
+    return all((dist[u] - dist[v]) % 2 for u, v in g.edges)
+
+
+def test_partition_graphs_have_nothing_at_the_bound_up_to_8_vertices():
+    # a connected non-cycle graph with 3c > n and 2c + p - 1 > n: no order
+    # passes the recognizer, every class of R has multiplicity <= deg R =
+    # rank Q <= n, and x + 2 has e = m - n + dim ker Q <= c, where dim ker Q
+    # counts the bipartite components; c >= 2, so both are below the bound
+    checked = 0
+    for g in _checkable_graphs(8):
+        s = summarize(g)
+        n, c = g.vertex_count, s.cyclomatic
+        if 3 * c <= n or 2 * c + s.pendant_count - 1 <= n:
+            continue
+        assert optimal_orders(g) == frozenset(), g
+        q = [[g.degree(i) if i == j else int(g.has_edge(i, j)) for j in range(n)] for i in range(n)]
+        rank = _integer_rank(q)
+        r, e = spectra._line_spectrum(g)
+        assert r.degree == rank, g
+        assert n - rank == _is_bipartite(g), g
+        assert e <= c, g
+        checked += 1
+    assert checked == 10_320
+
 
 
 def test_multiplicity_examples():
